@@ -14,19 +14,14 @@ dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .complexes import ProductCellComplex, SimplicialComplex, is_prime
 
-# At or below this many entries a boundary matrix is eliminated densely;
-# larger matrices take the sparse path (bitsets over Z_2, pivoting by
-# minimal column count otherwise).
-DENSE_CELL_LIMIT = 200_000
-
 
 class ModMatrix:
-    """Sparse matrix over Z_p stored column-major as (row, value) pairs."""
+    """Sparse matrix over Z_p stored column-major as (row, value) pairs,
+    with values in 1..p-1 and rows sorted; a column must not repeat a row."""
 
     __slots__ = ("nrows", "ncols", "p", "cols")
 
@@ -36,9 +31,9 @@ class ModMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
-        if cols is None:
-            cols = [[] for _ in range(ncols)]
-        self.cols = cols
+        self.cols = [[] for _ in range(ncols)]
+        for j, col in enumerate(cols or ()):
+            self.set_column(j, col)
 
     def set_column(self, j, entries):
         col = []
@@ -55,20 +50,6 @@ class ModMatrix:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                A[i, j] = v
-        return A
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                rows[i][j] = v
-        return rows
-
     def composes_to_zero(self, next_boundary: "ModMatrix") -> bool:
         """True iff self @ next_boundary is the zero matrix."""
         if self.ncols != next_boundary.nrows:
@@ -82,105 +63,60 @@ class ModMatrix:
                 return False
         return True
 
-    def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0 or self.nnz == 0:
-            return 0
-        if self.nrows * self.ncols <= DENSE_CELL_LIMIT:
-            return _rank_dense(self.to_dense(), self.p)
-        if self.p == 2:
-            bits = [0] * self.nrows
+    def pivot_rows(self, skip=frozenset()) -> set[int]:
+        """Pivot rows of the column reduction: columns are taken left to
+        right, and each is reduced by the earlier pivot columns until its
+        lowest (largest-index) nonzero row carries no pivot yet, or it
+        vanishes.  Columns whose index is in ``skip`` are left out.
+
+        Over GF(2) a column is an int whose set bits are its rows; over odd p
+        it is a ``{row: value}`` dict, and each pivot column is scaled to
+        have 1 in its lowest row.  The pivot rows of the reduced columns
+        depend only on the span of the columns reduced, and with no ``skip``
+        their number is the rank.
+        """
+        p = self.p
+        if p == 2:
+            masks: dict[int, int] = {}
             for j, col in enumerate(self.cols):
-                mask = 1 << j
-                for i, _ in col:
-                    bits[i] |= mask
-            return _rank_gf2([b for b in bits if b])
-        return _rank_sparse(self.row_dicts(), self.p)
-
-
-def _rank_dense(A: np.ndarray, p: int) -> int:
-    A = A % p
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        below = A[r + 1:, c]
-        nz = np.nonzero(below)[0]
-        if len(nz):
-            A[r + 1 + nz] = (A[r + 1 + nz] - np.outer(below[nz], A[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_gf2(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            msb = row.bit_length() - 1
-            other = pivots.get(msb)
-            if other is None:
-                pivots[msb] = row
-                rank += 1
-                break
-            row ^= other
-    return rank
-
-
-def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
-    """Gaussian elimination on row dicts, pivot column chosen by minimal
-    active row count, pivot row within it by minimal fill."""
-    rows = [r for r in rows if r]
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while col_rows:
-        c = min(col_rows, key=lambda cc: (len(col_rows[cc]), cc))
-        members = col_rows[c]
-        piv = min(members, key=lambda i: (len(rows[i]), i))
-        prow = rows[piv]
-        inv = pow(prow[c], -1, p)
-        prow = {cc: (v * inv) % p for cc, v in prow.items()}
-        for i in list(members):
-            if i == piv:
+                if not col or j in skip:
+                    continue
+                # one shift by the first (least) row keeps the summands small
+                lo = col[0][0]
+                mask = sum(1 << (i - lo) for i, _ in col) << lo
+                while mask:
+                    low = mask.bit_length() - 1
+                    other = masks.get(low)
+                    if other is None:
+                        masks[low] = mask
+                        break
+                    mask ^= other
+            return set(masks)
+        pivots: dict[int, dict[int, int]] = {}
+        for j, col in enumerate(self.cols):
+            if not col or j in skip:
                 continue
-            r = rows[i]
-            factor = r[c]
-            for cc, v in prow.items():
-                nv = (r.get(cc, 0) - factor * v) % p
-                if nv:
-                    if cc not in r:
-                        col_rows.setdefault(cc, set()).add(i)
-                    r[cc] = nv
-                elif cc in r:
-                    del r[cc]
-                    bucket = col_rows.get(cc)
-                    if bucket is not None:
-                        bucket.discard(i)
-                        if not bucket:
-                            del col_rows[cc]
-        for cc in prow:
-            bucket = col_rows.get(cc)
-            if bucket is not None:
-                bucket.discard(piv)
-                if not bucket:
-                    del col_rows[cc]
-        rows[piv] = {}
-        rank += 1
-    return rank
+            vec = dict(col)
+            while vec:
+                low = max(vec)
+                other = pivots.get(low)
+                if other is None:
+                    inv = pow(vec[low], -1, p)
+                    pivots[low] = {i: v * inv % p for i, v in vec.items()}
+                    break
+                c = vec[low]
+                for i, v in other.items():
+                    # v and c are units, so w == 0 only where vec has row i
+                    w = (vec.get(i, 0) - c * v) % p
+                    if w:
+                        vec[i] = w
+                    else:
+                        del vec[i]
+        return set(pivots)
+
+    def rank(self) -> int:
+        """Exact rank over Z_p, for any matrix."""
+        return len(self.pivot_rows())
 
 
 @dataclass
@@ -190,26 +126,38 @@ class ChainComplexModP:
     ``dims[d]`` counts the cells in degree d; ``boundaries[d]`` maps degree d
     to degree d-1, with ``boundaries[0]`` the 1-row augmentation sending every
     0-cell to the point class.
+
+    All boundary ranks are computed together, on first use, top degree down
+    with clearing: a d-cell that is a pivot row of the reduced
+    ``boundaries[d+1]`` is the lowest cell of a boundary, hence of a cycle,
+    so its column of ``boundaries[d]`` lies in the span of the earlier ones
+    and is skipped.  This assumes ``boundaries[d] @ boundaries[d+1] == 0``,
+    which both assemblers guarantee and ``verify()`` checks.
     """
 
     p: int
     dims: list[int]
     boundaries: list[ModMatrix]
 
-    def __post_init__(self):
-        self._rank_cache: dict[int, int] = {}
-
     @property
     def top_dim(self) -> int:
         return len(self.dims) - 1
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Ranks of ``boundaries[0..top]``, reduced with clearing."""
+        ranks = []
+        cleared = frozenset()
+        for mat in reversed(self.boundaries):
+            cleared = mat.pivot_rows(skip=cleared)
+            ranks.append(len(cleared))
+        return tuple(reversed(ranks))
 
     def rank_boundary(self, d: int) -> int:
         """Rank of the boundary map leaving degree d (0 above the top)."""
         if d < 0 or d > self.top_dim:
             return 0
-        if d not in self._rank_cache:
-            self._rank_cache[d] = self.boundaries[d].rank()
-        return self._rank_cache[d]
+        return self.ranks[d]
 
     def betti_number(self, d: int) -> int:
         if d < 0 or d > self.top_dim:
@@ -329,6 +277,8 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
 
 def _as_chain_complex(obj, p: int) -> ChainComplexModP:
     if isinstance(obj, ChainComplexModP):
+        if obj.p != p:
+            raise ValueError(f"chain complex is over Z_{obj.p}, not Z_{p}")
         return obj
     if isinstance(obj, ProductCellComplex):
         return cellular_chain_complex(obj, p)
@@ -338,28 +288,26 @@ def _as_chain_complex(obj, p: int) -> ChainComplexModP:
 
 
 def betti(cc: ChainComplexModP) -> BettiProfile:
-    """Reduced Betti numbers from boundary ranks."""
+    """Reduced Betti numbers from the boundary ranks, which are computed
+    with clearing and so assume consecutive boundaries compose to zero."""
     return BettiProfile(
         cc.p, tuple(cc.betti_number(d) for d in range(cc.top_dim + 1))
     )
 
 
 def betti_numbers(complex_, p: int = 2) -> BettiProfile:
-    """Reduced Betti numbers of a simplicial or product-cell complex."""
+    """Reduced Betti numbers of a simplicial or product-cell complex, or of
+    a chain complex already assembled over Z_p."""
     return betti(_as_chain_complex(complex_, p))
 
 
 def hconn(complex_, p: int = 2) -> HConn:
-    """Homological connectivity over Z_p.
-
-    Ranks are computed degree by degree and the scan stops at the first
-    nonvanishing reduced Betti number, so low-connectivity answers never pay
-    for the top-dimensional boundaries.
-    """
+    """Homological connectivity over Z_p: one less than the first degree of
+    the Betti profile with nonzero homology."""
     cc = _as_chain_complex(complex_, p)
     if not cc.dims:
         return HConn(-2)
-    for d in range(cc.top_dim + 1):
-        if cc.betti_number(d) > 0:
-            return HConn(d - 1)
-    return HConn(cc.top_dim, is_lower_bound=True)
+    d = betti(cc).first_nonzero_degree()
+    if d is None:
+        return HConn(cc.top_dim, is_lower_bound=True)
+    return HConn(d - 1)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,21 +278,26 @@ def _random_mod_matrix(rng, nrows, ncols, p, density=0.3):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_rank_engines_agree_with_oracle(p, monkeypatch):
-    import tverlab.homology as hm
-
+def test_rank_engines_agree_with_oracle(p):
     rng = random.Random(p * 101)
-    cases = []
     for _ in range(25):
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
         mat, rows = _random_mod_matrix(rng, nrows, ncols, p)
-        cases.append((mat, oracle_rank_mod_p(rows, p)))
-    for mat, expected in cases:
-        assert mat.rank() == expected  # dense path
-    monkeypatch.setattr(hm, "DENSE_CELL_LIMIT", 0)
-    for mat, expected in cases:
-        assert mat.rank() == expected  # bitset / sparse path
+        assert mat.rank() == oracle_rank_mod_p(rows, p)
+    for c in SIMPLICIAL_SUITE + CELLULAR_SUITE:
+        if isinstance(c, SimplicialComplex):
+            cc, expected = chain_complex(c, p), oracle_betti(c, p)
+        else:
+            cc, expected = cellular_chain_complex(c, p), oracle_cellular_betti(c, p)
+        # cleared profile against the un-cleared rank of each boundary
+        assert cc.ranks == tuple(m.rank() for m in cc.boundaries)
+        assert list(betti(cc).betti) == expected
+
+
+def test_rank_reduces_constructor_entries_mod_p():
+    assert ModMatrix(1, 1, 2, [[(0, 2)]]).rank() == 0
+    assert ModMatrix(2, 2, 3, [[(1, 3), (0, 4)], [(0, -2)]]).rank() == 1
 
 
 def test_rank_is_invariant_under_row_and_column_shuffles():
@@ -316,3 +325,27 @@ def test_betti_of_chessboard_5x5_differs_between_primes():
     assert betti_numbers(c, 3).betti == (0, 0, 1, 57, 0)
     assert hconn(c, 2).value == 2
     assert hconn(c, 3).value == 1
+
+
+def test_betti_is_exact_for_primes_whose_products_overflow_int64():
+    p = 3037000507  # the first prime above sqrt(2**63)
+    assert betti_numbers(boundary_simplex(2), p).betti == (0, 1)
+    assert betti_numbers(chessboard(3, 3), p).betti == (0, 4, 0)
+
+
+def test_prebuilt_chain_complex_over_another_prime_is_rejected():
+    cc = chain_complex(chessboard(3, 3), 3)
+    with pytest.raises(ValueError):
+        hconn(cc, 2)
+    with pytest.raises(ValueError):
+        betti_numbers(cc, 2)
+    assert hconn(cc, 3).value == 0
+    assert betti_numbers(cc, 3).betti == (0, 4, 0)
+
+
+def test_import_loads_no_numpy():
+    # tverlab has no runtime dependencies; a fresh interpreter shows it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import tverlab, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
