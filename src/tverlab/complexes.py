@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -35,18 +37,36 @@ class DecompositionError(RuntimeError):
         self.counterexample = counterexample
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this bound (OEIS A014233); above it no fixed base set is known to be.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality test; raises ``ValueError`` for p at or above
+    about 3.3e24, where it could not be exact."""
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of p >= {_PRIME_TEST_LIMIT} is not decided exactly")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -119,25 +139,34 @@ class SimplicialComplex:
                 raise ValueError("exactly one label per vertex required")
         self.labels = labels
 
-        face_set: set[tuple[int, ...]] = set()
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
         for f in faces:
             t = tuple(f)
             if not t:
                 continue
-            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+            if not all(map(operator.lt, t, t[1:])):
                 t = tuple(sorted(set(t)))
             if t[0] < 0 or t[-1] >= n_vertices:
                 raise ValueError(f"face {t} uses vertices outside 0..{n_vertices - 1}")
-            face_set.add(t)
-            _check_budget(len(face_set), budget, "storing the given faces")
-        if not closed:
-            face_set = _downward_closure(face_set, budget)
-
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for f in face_set:
-            by_dim.setdefault(len(f) - 1, []).append(f)
-        self._by_dim = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
-        self._face_set = frozenset(face_set)
+            by_dim.setdefault(len(t) - 1, []).append(t)
+        # sorted and deduplicated top down, so that the closure has added all
+        # of dimension d before dimension d is read
+        graded = {}
+        count = 0
+        for d in range(max(by_dim, default=-1), -1, -1):
+            if d not in by_dim:
+                continue
+            fs = _sorted_distinct(by_dim.pop(d))
+            count += len(fs)
+            _check_budget(count, budget, "storing the given faces" if closed
+                          else "computing the downward closure")
+            if not closed and d:
+                by_dim.setdefault(d - 1, []).extend(
+                    f[:t] + f[t + 1:] for f in fs for t in range(d + 1)
+                )
+            graded[d] = fs
+        self._by_dim = dict(sorted(graded.items()))
+        self._face_set = None
         self._label_index = None
 
     # -- basic queries -------------------------------------------------
@@ -152,11 +181,11 @@ class SimplicialComplex:
 
     @property
     def face_count(self) -> int:
-        return len(self._face_set)
+        return sum(map(len, self._by_dim.values()))
 
     @property
     def is_empty(self) -> bool:
-        return not self._face_set
+        return not self._by_dim
 
     def faces_of_dim(self, d: int) -> tuple[tuple[int, ...], ...]:
         return self._by_dim.get(d, ())
@@ -173,17 +202,17 @@ class SimplicialComplex:
         t = tuple(sorted(face))
         if not t:
             return True  # the empty face belongs to every complex
+        if self._face_set is None:
+            self._face_set = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
         return t in self._face_set
 
     def facets(self) -> list[tuple[int, ...]]:
         """Maximal faces, sorted by dimension then lexicographically."""
-        covered: set[tuple[int, ...]] = set()
-        for f in self._face_set:
-            if len(f) < 2:
-                continue
-            for t in range(len(f)):
-                covered.add(f[:t] + f[t + 1:])
-        return [f for d in sorted(self._by_dim) for f in self._by_dim[d] if f not in covered]
+        out = []
+        for d, fs in self._by_dim.items():
+            covered = {g[:t] + g[t + 1:] for g in self._by_dim.get(d + 1, ()) for t in range(d + 2)}
+            out.extend(f for f in fs if f not in covered)
+        return out
 
     def index_of_label(self, label) -> int:
         if self._label_index is None:
@@ -193,7 +222,8 @@ class SimplicialComplex:
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.n_vertices == other.n_vertices and self._face_set == other._face_set
+        # faces are stored sorted and distinct, so equal sets are equal tuples
+        return self.n_vertices == other.n_vertices and self._by_dim == other._by_dim
 
     __hash__ = None
 
@@ -213,18 +243,41 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, text: str, *, budget=None) -> "SimplicialComplex":
+        """Parse ``to_json`` output (any faces, closed downward here); raises
+        ``ValueError`` on a missing or mistyped key."""
         doc = json.loads(text)
-        return cls(int(doc["vertices"]), [tuple(f) for f in doc["faces"]], budget=budget)
+        n = json_field(doc, "vertices", is_int, "an integer")
+        faces = json_field(doc, "faces", is_int_lists, "a list of lists of integers")
+        return cls(n, [tuple(f) for f in faces], budget=budget)
 
 
-def _downward_closure(faces, budget):
-    closed: set[tuple[int, ...]] = set()
-    for f in faces:
-        for size in range(1, len(f) + 1):
-            for sub in itertools.combinations(f, size):
-                closed.add(sub)
-        _check_budget(len(closed), budget, "computing the downward closure")
-    return closed
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_int_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(f, list) and all(map(is_int, f)) for f in value
+    )
+
+
+def json_field(doc, key: str, valid, expected: str):
+    """``doc[key]`` of a parsed JSON object, checked by ``valid``; raises
+    ``ValueError`` naming the key if it is missing or ``valid`` rejects it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, not {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    if not valid(doc[key]):
+        raise ValueError(f"key {key!r} must be {expected}, not {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _sorted_distinct(faces: list) -> tuple:
+    """The distinct entries of ``faces`` in ascending order (sorts in place)."""
+    faces.sort()
+    keep = itertools.chain((True,), map(operator.ne, itertools.islice(faces, 1, None), faces))
+    return tuple(itertools.compress(faces, keep))
 
 
 class ProductCellComplex:
@@ -243,10 +296,9 @@ class ProductCellComplex:
         self.k = k
         by_dim: dict[int, list] = {}
         for cell in cells:
-            d = sum(len(f) - 1 for f in cell)
-            by_dim.setdefault(d, []).append(cell)
-        self._by_dim = {d: tuple(sorted(cs)) for d, cs in sorted(by_dim.items())}
-        self._cell_set = frozenset(c for cs in self._by_dim.values() for c in cs)
+            by_dim.setdefault(sum(map(len, cell)) - len(cell), []).append(cell)
+        self._by_dim = {d: _sorted_distinct(cs) for d, cs in sorted(by_dim.items())}
+        self._cell_set = None
 
     @property
     def dim(self) -> int:
@@ -254,7 +306,7 @@ class ProductCellComplex:
 
     @property
     def cell_count(self) -> int:
-        return len(self._cell_set)
+        return sum(map(len, self._by_dim.values()))
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -271,6 +323,8 @@ class ProductCellComplex:
             yield from self._by_dim[d]
 
     def has_cell(self, cell) -> bool:
+        if self._cell_set is None:
+            self._cell_set = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
         return tuple(cell) in self._cell_set
 
     def __repr__(self):
@@ -325,13 +379,17 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
         raise ValueError("board sides must be positive")
     if budget is None:
         budget = DEFAULT_FACE_BUDGET
+    sizes = range(1, min(m, n) + 1)
+    _check_budget(sum(math.comb(m, s) * math.perm(n, s) for s in sizes), budget,
+                  f"chessboard({m},{n})")
     labels = tuple((i + 1, j + 1) for i in range(m) for j in range(n))
-    faces = []
-    for size in range(1, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), size):
-            for cols in itertools.permutations(range(n), size):
-                faces.append(tuple(sorted(rows[t] * n + cols[t] for t in range(size))))
-                _check_budget(len(faces), budget, f"chessboard({m},{n})")
+    # rows ascend within a face, so row*n + col ascends with them
+    faces = [
+        tuple(map(operator.add, rows, cols))
+        for size in sizes
+        for rows in itertools.combinations(range(0, m * n, n), size)
+        for cols in itertools.permutations(range(n), size)
+    ]
     return SimplicialComplex(m * n, faces, labels, closed=True, budget=budget)
 
 
@@ -420,39 +478,48 @@ def join(a: SimplicialComplex, b: SimplicialComplex, *, budget=None) -> Simplici
 # -- deleted joins and deleted products --------------------------------------
 
 
-def _tuple_stream(base, n, k, include_empty):
-    """Yield n-tuples of faces of ``base`` (optionally allowing the empty
-    face) in which every vertex of the base appears in fewer than k factors.
+def _tuple_stream(base, n, k, payload, include_empty, budget, what):
+    """n-tuples of faces of ``base`` (the empty face allowed when
+    ``include_empty``) in which every vertex appears in fewer than k faces,
+    that is, every k of the faces intersect emptily.  Each tuple is returned
+    as the concatenation of ``payload(copy, face)`` over its copies.
 
-    The multiplicity condition is equivalent to: every k of the chosen faces
-    have empty common intersection.
+    Tuples grow one copy at a time.  A partial tuple is kept only if it
+    extends to a full one: with the empty face that is always so, and
+    without it the vertex slots still free, k - 1 per vertex less those
+    used, must cover one vertex per copy still to come.  So no level holds
+    more tuples than the result, and the budget is checked as each grows.
     """
-    base_faces = list(base.faces())
-    options = ([()] if include_empty else []) + base_faces
-    mult = [0] * base.n_vertices
-    chosen = []
-
-    def rec(level):
-        if level == n:
-            yield tuple(chosen)
-            return
-        for f in options:
-            ok = True
-            for v in f:
-                if mult[v] + 1 >= k:
-                    ok = False
+    options = [((), 0, 0)] if include_empty else []
+    options += [(f, sum(1 << v for v in f), len(f)) for f in base.faces()]
+    slots = (k - 1) * len(base.faces_of_dim(0))
+    # a state: which vertices lie in more than j faces (j = 0..k-2), how many
+    # vertex slots are used, and the payload so far
+    level = [((0,) * (k - 1), 0, ())]
+    for copy in range(n):
+        # options are sorted by size, so the first too large ends the scan
+        room = slots if include_empty else slots - (n - copy - 1)
+        opts = [(mask, size, payload(copy, f)) for f, mask, size in options]
+        last = copy == n - 1
+        grown = []
+        for used, taken, acc in level:
+            full = used[-1]
+            for mask, size, pay in opts:
+                if taken + size > room:
                     break
-            if not ok:
-                continue
-            for v in f:
-                mult[v] += 1
-            chosen.append(f)
-            yield from rec(level + 1)
-            chosen.pop()
-            for v in f:
-                mult[v] -= 1
-
-    yield from rec(0)
+                if mask & full:
+                    continue
+                if last:
+                    grown.append(acc + pay)
+                    continue
+                carry, nxt = mask, []
+                for u in used:
+                    nxt.append(u | carry)
+                    carry &= u
+                grown.append((tuple(nxt), taken + size, acc + pay))
+            _check_budget(len(grown) - include_empty, budget, what)
+        level = grown
+    return level
 
 
 def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> SimplicialComplex:
@@ -469,14 +536,11 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
         budget = DEFAULT_FACE_BUDGET
     nb = base.n_vertices
     labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
-    faces = []
-    for combo in _tuple_stream(base, n, k, include_empty=True):
-        face = tuple(
-            c * nb + v for c, part in enumerate(combo) for v in part
-        )
-        if face:
-            faces.append(face)
-            _check_budget(len(faces), budget, f"{n}-fold deleted join")
+    # copy c of vertex v is c*nb + v, so the concatenated parts stay sorted
+    faces = _tuple_stream(
+        base, n, k, lambda c, f: tuple(c * nb + v for v in f),
+        True, budget, f"{n}-fold deleted join",
+    )
     return SimplicialComplex(n * nb, faces, labels, closed=True, budget=budget)
 
 
@@ -489,10 +553,9 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
         raise ValueError("wiseness k must be at least 2")
     if budget is None:
         budget = DEFAULT_FACE_BUDGET
-    cells = []
-    for combo in _tuple_stream(base, n, k, include_empty=False):
-        cells.append(combo)
-        _check_budget(len(cells), budget, f"{n}-fold deleted product")
+    cells = _tuple_stream(
+        base, n, k, lambda c, f: (f,), False, budget, f"{n}-fold deleted product"
+    )
     return ProductCellComplex(base, n, k, cells)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import TheoremInstance, strict_inequality_note, volovikov_condition
-from .complexes import Coloring
+from .complexes import Coloring, is_int, is_int_lists, json_field
 
 
 def parse_rational(value) -> Fraction:
@@ -71,11 +71,20 @@ class ColoredConfiguration:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ColoredConfiguration":
+        """Parse ``to_dict`` output; raises ``ValueError`` on a missing or
+        mistyped key."""
+        d = json_field(doc, "d", is_int, "an integer")
+        points = json_field(doc, "points", _is_lists, "a list of coordinate lists")
+        colors = json_field(doc, "colors", is_int_lists, "a list of lists of integers")
         return cls(
-            d=int(doc["d"]),
-            points=tuple(tuple(pt) for pt in doc["points"]),
-            coloring=Coloring(tuple(tuple(b) for b in doc["colors"])),
+            d=d,
+            points=tuple(tuple(pt) for pt in points),
+            coloring=Coloring(tuple(tuple(b) for b in colors)),
         )
+
+
+def _is_lists(value) -> bool:
+    return isinstance(value, list) and all(isinstance(pt, list) for pt in value)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,12 @@ from .complexes import ProductCellComplex, SimplicialComplex, is_prime
 
 
 class ModMatrix:
-    """Sparse matrix over Z_p stored column-major as (row, value) pairs,
-    with values in 1..p-1 and rows sorted; a column must not repeat a row."""
+    """Sparse matrix over Z_p stored column-major: each column is a
+    ``{row: value}`` dict with values in 1..p-1.
+
+    The constructor and ``set_column`` take a column as ``(row, value)``
+    pairs, reduced mod p, with the values of a repeated row added up.
+    """
 
     __slots__ = ("nrows", "ncols", "p", "cols")
 
@@ -31,24 +35,27 @@ class ModMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
-        self.cols = [[] for _ in range(ncols)]
+        self.cols = [{} for _ in range(ncols)]
         for j, col in enumerate(cols or ()):
             self.set_column(j, col)
 
     def set_column(self, j, entries):
-        col = []
+        p = self.p
+        col: dict[int, int] = {}
         for i, v in entries:
-            v %= self.p
-            if v:
+            if v % p:
                 if not 0 <= i < self.nrows:
                     raise ValueError(f"row {i} out of range")
-                col.append((i, v))
-        col.sort()
+                v = (col.get(i, 0) + v) % p
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
         self.cols[j] = col
 
     @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
+        return sum(map(len, self.cols))
 
     def composes_to_zero(self, next_boundary: "ModMatrix") -> bool:
         """True iff self @ next_boundary is the zero matrix."""
@@ -56,8 +63,8 @@ class ModMatrix:
             raise ValueError("boundary shapes do not chain")
         for col in next_boundary.cols:
             acc: dict[int, int] = {}
-            for r, v in col:
-                for i, w in self.cols[r]:
+            for r, v in col.items():
+                for i, w in self.cols[r].items():
                     acc[i] = (acc.get(i, 0) + v * w) % self.p
             if any(acc.values()):
                 return False
@@ -81,9 +88,12 @@ class ModMatrix:
             for j, col in enumerate(self.cols):
                 if not col or j in skip:
                     continue
-                # one shift by the first (least) row keeps the summands small
-                lo = col[0][0]
-                mask = sum(1 << (i - lo) for i, _ in col) << lo
+                # one shift by the least row keeps the summands small
+                lo = min(col)
+                mask = 0
+                for i in col:
+                    mask |= 1 << (i - lo)
+                mask <<= lo
                 while mask:
                     low = mask.bit_length() - 1
                     other = masks.get(low)
@@ -208,32 +218,8 @@ class HConn:
 def chain_complex(complex_: SimplicialComplex, p: int) -> ChainComplexModP:
     """Simplicial chain complex with the standard alternating-sign boundary
     in the canonical vertex order, augmented over Z_p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    top = complex_.dim
-    if top < 0:
-        return ChainComplexModP(p, [], [])
-    graded = [complex_.faces_of_dim(d) for d in range(top + 1)]
-    index = [{f: i for i, f in enumerate(fs)} for fs in graded]
-    dims = [len(fs) for fs in graded]
-
-    aug = ModMatrix(1, dims[0], p)
-    for j in range(dims[0]):
-        aug.set_column(j, [(0, 1)])
-    boundaries = [aug]
-    for d in range(1, top + 1):
-        mat = ModMatrix(dims[d - 1], dims[d], p)
-        lower = index[d - 1]
-        for j, f in enumerate(graded[d]):
-            mat.set_column(
-                j,
-                (
-                    (lower[f[:t] + f[t + 1:]], -1 if t % 2 else 1)
-                    for t in range(len(f))
-                ),
-            )
-        boundaries.append(mat)
-    return ChainComplexModP(p, dims, boundaries)
+    graded = [zip(complex_.faces_of_dim(d)) for d in range(complex_.dim + 1)]
+    return _assemble(graded, 1, complex_.n_vertices, p)
 
 
 def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexModP:
@@ -244,34 +230,53 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
     dimension of the preceding factors; summands whose factor would become
     empty are dropped, so 0-dimensional factors contribute nothing.
     """
+    graded = [product.cells_of_dim(d) for d in range(product.dim + 1)]
+    return _assemble(graded, product.n, product.base.n_vertices, p)
+
+
+def _assemble(graded, n_factors: int, n_vertices: int, p: int) -> ChainComplexModP:
+    """Augmented chain complex over Z_p of cells given degree by degree; a
+    degree's cells are iterated once, in the order of their rows.
+
+    A cell is a tuple of factors, each a sorted tuple of base vertices; a
+    simplex is the 1-factor cell ``(face,)``.  A cell's key is its vertex
+    bit mask, vertex v of factor i being bit ``i*n_vertices + v``, so the
+    face that drops that vertex has key ``key ^ bit``.  Dropping the vertex
+    at position t of factor i has sign (-1)**t times (-1) to the dimension
+    of the factors before it, that is (-1)**(pos - i) with pos its position
+    in the concatenated factors.  A summand whose factor would become empty
+    is dropped.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    top = product.dim
-    if top < 0:
-        return ChainComplexModP(p, [], [])
-    graded = [product.cells_of_dim(d) for d in range(top + 1)]
-    index = [{c: i for i, c in enumerate(cs)} for cs in graded]
-    dims = [len(cs) for cs in graded]
-
-    aug = ModMatrix(1, dims[0], p)
-    for j in range(dims[0]):
-        aug.set_column(j, [(0, 1)])
-    boundaries = [aug]
-    for d in range(1, top + 1):
-        mat = ModMatrix(dims[d - 1], dims[d], p)
-        lower = index[d - 1]
-        for j, cell in enumerate(graded[d]):
-            entries = []
-            prefix_sign = 1
-            for i, factor in enumerate(cell):
-                if len(factor) >= 2:
-                    for t in range(len(factor)):
-                        child = cell[:i] + (factor[:t] + factor[t + 1:],) + cell[i + 1:]
-                        sign = prefix_sign * (-1 if t % 2 else 1)
-                        entries.append((lower[child], sign))
-                prefix_sign *= -1 if (len(factor) - 1) % 2 else 1
-            mat.set_column(j, entries)
+    alternating = [1, p - 1] * (n_vertices // 2 + 1)
+    signs = (alternating, alternating[1:])
+    bits = [[1 << (i * n_vertices + v) for v in range(n_vertices)] for i in range(n_factors)]
+    dims: list[int] = []
+    boundaries: list[ModMatrix] = []
+    lower: dict[int, int] = {}
+    for cells in graded:
+        index: dict[int, int] = {}
+        cols = []
+        for cell in cells:
+            key = 0
+            terms = []  # (bit, sign) of each vertex that may be dropped
+            parity = 0  # of the dimension of the factors so far
+            for b, f in zip(bits, cell):
+                fbits = list(map(b.__getitem__, f))
+                key += sum(fbits)
+                if len(f) > 1:
+                    terms += zip(fbits, signs[parity])
+                parity ^= ~len(f) & 1
+            index[key] = len(index)
+            # dims is empty in degree 0, whose boundary is the augmentation
+            cols.append({lower[key ^ bit]: s for bit, s in terms} if dims else {0: 1})
+        # the columns are built reduced mod p, so set_column is not needed
+        mat = ModMatrix(dims[-1] if dims else 1, 0, p)
+        mat.ncols, mat.cols = len(cols), cols
+        dims.append(len(cols))
         boundaries.append(mat)
+        lower = index
     return ChainComplexModP(p, dims, boundaries)
 
 

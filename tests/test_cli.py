@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,61 @@ def test_table_flag_emits_summary(capsys):
     assert code == 0
     json.loads(captured.out)
     assert "hconn" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"faces": [[0, 1]]}, "vertices"),
+        ({"vertices": 2}, "faces"),
+        ({"vertices": "2", "faces": [[0, 1]]}, "vertices"),
+        ({"vertices": 2, "faces": [0, 1]}, "faces"),
+        ([[0, 1]], None),
+    ],
+)
+def test_bad_complex_file_gives_one_report(tmp_path, capsys, doc, key):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "betti", "--complex", str(path))
+    assert code == 1
+    assert report["result"]["error_type"] == "ValueError"
+    if key:
+        assert repr(key) in report["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"d": 1, "points": [["0"], ["1"]]}, "colors"),
+        ({"d": 1, "colors": [[0], [1]]}, "points"),
+        ({"d": "1", "points": [["0"], ["1"]], "colors": [[0], [1]]}, "d"),
+        ({"d": 1, "points": [["0"], ["1"]], "colors": [0, 1]}, "colors"),
+    ],
+)
+def test_bad_config_file_gives_one_report(tmp_path, capsys, doc, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "tverberg-search", "--config", str(path), "--q", "2")
+    assert code == 1
+    assert report["result"]["error_type"] == "ValueError"
+    assert repr(key) in report["result"]["error"]
+
+
+def test_closed_stdout_prints_no_traceback():
+    # the 7x7 report is about 0.5 MB, more than a pipe buffers, so the
+    # write meets the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tverlab.cli", "chessboard", "7", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+    assert stderr == b""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from tverlab.complexes import (
     deleted_product,
     discrete_points,
     full_simplex,
+    is_prime,
     join,
     join_many,
     rainbow_complex,
@@ -305,6 +307,59 @@ def test_budget_guard_fires():
         chessboard(6, 6, budget=100)
     with pytest.raises(FaceBudgetError):
         deleted_join(discrete_points(4), 3, 2, budget=10)
+    with pytest.raises(FaceBudgetError):
+        deleted_product(discrete_points(4), 3, 2, budget=10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda budget: chessboard(3, 4, budget=budget),
+        lambda budget: deleted_join(discrete_points(4), 3, 2, budget=budget),
+        lambda budget: deleted_join(boundary_simplex(2), 3, 3, budget=budget),
+        # each of 6 copies takes one of 6 vertices: 720 cells, while
+        # 2100 triples of disjoint nonempty faces could start them
+        lambda budget: deleted_product(full_simplex(5), 6, 2, budget=budget),
+        lambda budget: deleted_product(boundary_simplex(2), 3, 3, budget=budget),
+    ],
+)
+def test_budget_counts_the_distinct_faces_built(build):
+    built = build(None)
+    count = built.face_count if isinstance(built, SimplicialComplex) else built.cell_count
+    assert build(count).f_vector == built.f_vector
+    with pytest.raises(FaceBudgetError):
+        build(count - 1)
+
+
+def test_budget_counts_distinct_given_faces():
+    faces = [(0, 1), (1, 0), (0, 1), (1,), (0,)]
+    assert SimplicialComplex(2, faces, closed=True, budget=3).face_count == 3
+    assert SimplicialComplex(2, faces, budget=3).face_count == 3
+    with pytest.raises(FaceBudgetError):
+        SimplicialComplex(2, faces, closed=True, budget=2)
+
+
+def test_deleted_product_budget_is_checked_while_cells_are_built():
+    # the 3-fold deleted product of the 6x6 board has far more cells than
+    # could be listed before counting them
+    with pytest.raises(FaceBudgetError):
+        deleted_product(chessboard(6, 6), 3, 2, budget=1000)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_face_order_and_repeats_do_not_change_the_complex(closed):
+    c = chessboard(3, 3)
+    rng = random.Random(3)
+    given = [tuple(rng.sample(f, len(f))) for f in c.faces()] * 2
+    rng.shuffle(given)
+    rebuilt = SimplicialComplex(c.n_vertices, given, closed=closed)
+    assert rebuilt == c
+    assert list(rebuilt.faces()) == list(c.faces())
+    assert rebuilt.facets() == c.facets()
+    with pytest.raises(ValueError):
+        SimplicialComplex(3, [(0, 3)], closed=closed)
+    with pytest.raises(ValueError):
+        SimplicialComplex(3, [(-1, 2)], closed=closed)
 
 
 def test_serialization_round_trip():
@@ -406,6 +461,34 @@ def test_regular_embedding_is_a_free_group_action(p, n):
             for _ in range(p - 1):
                 power = tuple(g[power[i]] for i in range(order))
             assert power == identity
+
+
+def test_is_prime_is_exact_and_fast_for_large_primes():
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_is_prime_matches_a_sieve_below_1000():
+    sieve = [True] * 1000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 32):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 1000, i))
+    assert [n for n in range(-3, 1000) if is_prime(n)] == [n for n in range(1000) if sieve[n]]
+
+
+def test_is_prime_refuses_numbers_beyond_its_exact_range():
+    assert not is_prime(3317044064679887385961980)  # even, just below the bound
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_regular_embedding_rejects_composites():
