@@ -22,11 +22,13 @@ class SizeThresholdError(ValueError):
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        detail = ", ".join(
-            f"class {v['index']} has size {v['size']} < {v['required']}"
-            for v in self.violations
-        )
+        detail = ", ".join(map(self.describe, self.violations))
         super().__init__(f"size thresholds unmet: {detail}")
+
+    @staticmethod
+    def describe(v: dict) -> str:
+        """One entry of ``threshold_violations`` as text."""
+        return f"class {v['index']} has size {v['size']} < {v['required']}"
 
 
 class InapplicableError(ValueError):
@@ -264,10 +266,7 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
             not violations,
             "all color classes meet their size thresholds"
             if not violations
-            else "; ".join(
-                f"class {v['index']} has size {v['size']} < {v['required']}"
-                for v in violations
-            ),
+            else "; ".join(map(SizeThresholdError.describe, violations)),
         )
     )
 
@@ -384,6 +383,15 @@ def strict_inequality_note(ti: TheoremInstance) -> FaceCountUpgrade | None:
     return FaceCountUpgrade(r, tuple(trace))
 
 
+def promised_faces(verdict: Verdict, upgrade: FaceCountUpgrade | None) -> int | None:
+    """Number of pairwise disjoint rainbow faces the bundle is promised: the
+    upgrade's count when there is one, else q; None unless the verdict is
+    applicable."""
+    if not verdict.applicable:
+        return None
+    return upgrade.promised_faces if upgrade else verdict.q
+
+
 def evaluate_bundle(ti: TheoremInstance) -> dict:
     """Full report for a parameter bundle: verdict, both index bounds where
     claimable, and the promised number of faces after any upgrade."""
@@ -400,10 +408,6 @@ def evaluate_bundle(ti: TheoremInstance) -> dict:
         report["deleted_product_bound"] = {"error": str(exc)}
 
     upgrade = strict_inequality_note(ti)
-    if verdict.applicable:
-        promised = upgrade.promised_faces if upgrade else verdict.q
-    else:
-        promised = None
     report["upgrade"] = upgrade.to_dict() if upgrade else None
-    report["promised_faces"] = promised
+    report["promised_faces"] = promised_faces(verdict, upgrade)
     return report

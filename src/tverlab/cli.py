@@ -2,9 +2,10 @@
 
 Every invocation prints a single JSON document
 ``{"input_echo": ..., "result": ..., "timing_seconds": ..., "version": ...}``
-whose ``input_echo`` reproduces the run when fed back as flags.  Exit codes:
-0 success, 1 domain failure (thresholds unmet, no witness, budget hit),
-2 usage error.
+whose ``input_echo``, read off the parsed arguments, reproduces the run when
+fed back as flags; error reports carry it too.  Exit codes: 0 success,
+1 domain failure (thresholds unmet, no witness, budget hit, an input file
+that cannot be read, an ``--out`` file that cannot be opened), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import (
-    InapplicableError,
-    SizeThresholdError,
-    TheoremInstance,
-    evaluate_bundle,
-)
+from .bounds import TheoremInstance, evaluate_bundle
 from .complexes import (
     DEFAULT_FACE_BUDGET,
     DecompositionError,
@@ -57,38 +53,119 @@ def _add_complex_source(sp):
                        help="join of discrete color classes, comma-separated sizes")
     group.add_argument("--points", type=int, metavar="COUNT",
                        help="discrete point set")
-    group.add_argument("--complex", dest="complex_file", metavar="FILE",
+    group.add_argument("--complex", dest="complex", metavar="FILE",
                        help="JSON file {\"vertices\": N, \"faces\": [[ids...]...]}")
 
 
-def _resolve_complex(args, budget):
+# global flags and the run function are not echoed, nor unused complex sources
+_NOT_ECHOED = ("face_budget", "out", "table", "run")
+_COMPLEX_SOURCES = ("chessboard", "rainbow", "points", "complex")
+
+
+def _resolve_complex(args):
+    budget = args.face_budget
     if args.chessboard is not None:
-        m, n = args.chessboard
-        return chessboard(m, n, budget=budget), {"chessboard": [m, n]}
+        return chessboard(*args.chessboard, budget=budget)
     if args.rainbow is not None:
-        complex_, _ = rainbow_complex(args.rainbow, budget=budget)
-        return complex_, {"rainbow": list(args.rainbow)}
+        return rainbow_complex(args.rainbow, budget=budget)[0]
     if args.points is not None:
-        return discrete_points(args.points, budget=budget), {"points": args.points}
-    with open(args.complex_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return SimplicialComplex.from_json(text, budget=budget), {"complex": args.complex_file}
+        return discrete_points(args.points, budget=budget)
+    with open(args.complex, "r", encoding="utf-8") as fh:
+        return SimplicialComplex.from_json(fh.read(), budget=budget)
 
 
-def _complex_payload(complex_, include_facets=True):
-    payload = {
+def _add_bundle(sp):
+    for flag in ("--d", "--k", "--m", "--p", "--n"):
+        sp.add_argument(flag, type=int, required=True)
+    sp.add_argument("--sizes", type=_csv_ints, required=True)
+
+
+def _instance(args) -> TheoremInstance:
+    return TheoremInstance(d=args.d, k=args.k, m_large=args.m,
+                           p=args.p, n=args.n, sizes=tuple(args.sizes))
+
+
+def _complex_payload(complex_):
+    return {
         "vertices": complex_.n_vertices,
         "dim": complex_.dim,
         "f_vector": list(complex_.f_vector),
         "face_count": complex_.face_count,
+        "facets": [list(f) for f in complex_.facets()],
     }
-    if include_facets:
-        payload["facets"] = [list(f) for f in complex_.facets()]
-    return payload
 
 
-def _hconn_payload(h):
-    return {"hconn": h.value, "hconn_is_lower_bound": h.is_lower_bound}
+# each subparser binds a run function: parsed arguments -> (result, exit code)
+def _run_chessboard(args):
+    return _complex_payload(chessboard(args.m, args.n, budget=args.face_budget)), 0
+
+
+def _run_rainbow(args):
+    complex_, coloring = rainbow_complex(args.sizes, budget=args.face_budget)
+    return {**_complex_payload(complex_), "colors": [list(b) for b in coloring.classes]}, 0
+
+
+def _run_deleted_join(args):
+    out = deleted_join(_resolve_complex(args), args.copies, args.wise, budget=args.face_budget)
+    return _complex_payload(out), 0
+
+
+def _run_deleted_product(args):
+    base = _resolve_complex(args)
+    prod = deleted_product(base, args.copies, args.wise, budget=args.face_budget)
+    return {
+        "base_vertices": base.n_vertices,
+        "copies": prod.n,
+        "wise": prod.k,
+        "dim": prod.dim,
+        "cells_by_dim": list(prod.f_vector),
+        "total_cells": prod.cell_count,
+    }, 0
+
+
+def _run_homology(args):
+    cc = chain_complex(_resolve_complex(args), args.p)
+    h = hconn(cc, args.p)
+    return {"p": args.p, "betti": list(betti(cc).betti),
+            "hconn": h.value, "hconn_is_lower_bound": h.is_lower_bound}, 0
+
+
+def _run_verify_theorem(args):
+    report = evaluate_bundle(_instance(args))
+    return report, 0 if report["verdict"]["applicable"] else 1
+
+
+def _run_tverberg_search(args):
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = ColoredConfiguration.from_dict(json.load(fh))
+    res = find_disjoint_intersecting_family(
+        config, args.q, lp_budget=args.lp_budget, max_dim=args.max_dim
+    )
+    return {
+        "status": res.status,
+        "hull_queries": res.hull_queries,
+        "nodes": res.nodes,
+        "witness": res.witness.to_dict() if res.witness else None,
+    }, 0 if res.found else 1
+
+
+def _run_experiment(args):
+    report = verify_theorem_empirically(
+        _instance(args), args.trials, args.seed,
+        q=args.q, lp_budget=args.lp_budget, coordinate_bound=args.bound,
+    )
+    return report.to_dict(), 0 if report.successes == len(report.trials) else 1
+
+
+def _run_decompose(args):
+    witness = decomposition_isomorphism(args.sizes, args.r, budget=args.face_budget)
+    return {
+        "verified": witness.verified,
+        "face_count": witness.left.face_count,
+        "left_f_vector": list(witness.left.f_vector),
+        "right_f_vector": list(witness.right.f_vector),
+        "vertex_map_size": len(witness.vertex_map),
+    }, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,50 +184,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("chessboard", help="build a board complex")
+    sp.set_defaults(run=_run_chessboard)
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
 
     sp = sub.add_parser("rainbow", help="build a rainbow complex")
+    sp.set_defaults(run=_run_rainbow)
     sp.add_argument("sizes", type=_csv_ints)
 
-    sp = sub.add_parser("deleted-join", help="n-fold k-wise deleted join of a base complex")
-    _add_complex_source(sp)
-    sp.add_argument("--copies", type=int, required=True)
-    sp.add_argument("--wise", type=int, default=2)
-
-    sp = sub.add_parser("deleted-product", help="n-fold k-wise deleted product of a base complex")
-    _add_complex_source(sp)
-    sp.add_argument("--copies", type=int, required=True)
-    sp.add_argument("--wise", type=int, default=2)
+    for name, run in (("deleted-join", _run_deleted_join),
+                      ("deleted-product", _run_deleted_product)):
+        sp = sub.add_parser(name, help=f"n-fold k-wise {name.replace('-', ' ')} of a base complex")
+        sp.set_defaults(run=run)
+        _add_complex_source(sp)
+        sp.add_argument("--copies", type=int, required=True)
+        sp.add_argument("--wise", type=int, default=2)
 
     for name in ("betti", "hconn"):
         sp = sub.add_parser(name, help=f"{name} over Z_p")
+        sp.set_defaults(run=_run_homology)
         _add_complex_source(sp)
         sp.add_argument("--p", type=int, default=2)
 
     sp = sub.add_parser("verify-theorem", help="applicability verdict for a parameter bundle")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sizes", type=_csv_ints, required=True)
+    sp.set_defaults(run=_run_verify_theorem)
+    _add_bundle(sp)
 
     sp = sub.add_parser("tverberg-search",
                         help="search a configuration file for q disjoint rainbow faces "
                              "with intersecting hulls")
+    sp.set_defaults(run=_run_tverberg_search)
     sp.add_argument("--config", required=True, metavar="FILE")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lp-budget", type=int, default=None)
     sp.add_argument("--max-dim", type=int, default=None)
 
     sp = sub.add_parser("experiment", help="seeded random trials for a parameter bundle")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--sizes", type=_csv_ints, required=True)
+    sp.set_defaults(run=_run_experiment)
+    _add_bundle(sp)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--q", type=int, default=None,
@@ -161,110 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose",
                         help="verify the chessboard decomposition of the deleted join")
+    sp.set_defaults(run=_run_decompose)
     sp.add_argument("--sizes", type=_csv_ints, required=True)
     sp.add_argument("--r", type=int, required=True)
 
     return parser
-
-
-def _run_subcommand(args) -> tuple[dict, dict, int]:
-    """Returns (input_echo, result, exit_code)."""
-    budget = args.face_budget
-
-    if args.subcommand == "chessboard":
-        echo = {"subcommand": "chessboard", "m": args.m, "n": args.n}
-        return echo, _complex_payload(chessboard(args.m, args.n, budget=budget)), 0
-
-    if args.subcommand == "rainbow":
-        echo = {"subcommand": "rainbow", "sizes": list(args.sizes)}
-        complex_, coloring = rainbow_complex(args.sizes, budget=budget)
-        payload = _complex_payload(complex_)
-        payload["colors"] = [list(block) for block in coloring.classes]
-        return echo, payload, 0
-
-    if args.subcommand == "deleted-join":
-        base, src = _resolve_complex(args, budget)
-        echo = {"subcommand": "deleted-join", **src,
-                "copies": args.copies, "wise": args.wise}
-        out = deleted_join(base, args.copies, args.wise, budget=budget)
-        return echo, _complex_payload(out), 0
-
-    if args.subcommand == "deleted-product":
-        base, src = _resolve_complex(args, budget)
-        echo = {"subcommand": "deleted-product", **src,
-                "copies": args.copies, "wise": args.wise}
-        prod = deleted_product(base, args.copies, args.wise, budget=budget)
-        result = {
-            "base_vertices": base.n_vertices,
-            "copies": prod.n,
-            "wise": prod.k,
-            "dim": prod.dim,
-            "cells_by_dim": list(prod.f_vector),
-            "total_cells": prod.cell_count,
-        }
-        return echo, result, 0
-
-    if args.subcommand in ("betti", "hconn"):
-        base, src = _resolve_complex(args, budget)
-        echo = {"subcommand": args.subcommand, **src, "p": args.p}
-        cc = chain_complex(base, args.p)
-        profile = betti(cc)
-        h = hconn(cc, args.p)
-        result = {"p": args.p, "betti": list(profile.betti), **_hconn_payload(h)}
-        return echo, result, 0
-
-    if args.subcommand == "verify-theorem":
-        echo = {"subcommand": "verify-theorem", "d": args.d, "k": args.k,
-                "m": args.m, "p": args.p, "n": args.n, "sizes": list(args.sizes)}
-        ti = TheoremInstance(d=args.d, k=args.k, m_large=args.m,
-                             p=args.p, n=args.n, sizes=tuple(args.sizes))
-        report = evaluate_bundle(ti)
-        return echo, report, 0 if report["verdict"]["applicable"] else 1
-
-    if args.subcommand == "tverberg-search":
-        echo = {"subcommand": "tverberg-search", "config": args.config, "q": args.q,
-                "lp_budget": args.lp_budget, "max_dim": args.max_dim}
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        config = ColoredConfiguration.from_dict(doc)
-        res = find_disjoint_intersecting_family(
-            config, args.q, lp_budget=args.lp_budget, max_dim=args.max_dim
-        )
-        result = {
-            "status": res.status,
-            "hull_queries": res.hull_queries,
-            "nodes": res.nodes,
-            "witness": res.witness.to_dict() if res.witness else None,
-        }
-        return echo, result, 0 if res.found else 1
-
-    if args.subcommand == "experiment":
-        echo = {"subcommand": "experiment", "d": args.d, "p": args.p, "n": args.n,
-                "k": args.k, "m": args.m, "sizes": list(args.sizes),
-                "trials": args.trials, "seed": args.seed, "q": args.q,
-                "lp_budget": args.lp_budget, "bound": args.bound}
-        ti = TheoremInstance(d=args.d, k=args.k, m_large=args.m,
-                             p=args.p, n=args.n, sizes=tuple(args.sizes))
-        report = verify_theorem_empirically(
-            ti, args.trials, args.seed,
-            q=args.q, lp_budget=args.lp_budget, coordinate_bound=args.bound,
-        )
-        ok = report.successes == len(report.trials)
-        return echo, report.to_dict(), 0 if ok else 1
-
-    if args.subcommand == "decompose":
-        echo = {"subcommand": "decompose", "sizes": list(args.sizes), "r": args.r}
-        witness = decomposition_isomorphism(args.sizes, args.r, budget=budget)
-        result = {
-            "verified": witness.verified,
-            "face_count": witness.left.face_count,
-            "left_f_vector": list(witness.left.f_vector),
-            "right_f_vector": list(witness.right.f_vector),
-            "vertex_map_size": len(witness.vertex_map),
-        }
-        return echo, result, 0
-
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
 def _summarize(result: dict) -> str:
@@ -277,15 +249,16 @@ def _summarize(result: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    echo = {key: value for key, value in vars(args).items()
+            if key not in _NOT_ECHOED and not (key in _COMPLEX_SOURCES and value is None)}
     started = time.perf_counter()
+    out = None
     try:
-        echo, result, code = _run_subcommand(args)
-    except (SizeThresholdError, InapplicableError, FaceBudgetError,
-            DecompositionError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
-        echo = {"subcommand": args.subcommand}
+        if args.out:
+            out = open(args.out, "w", encoding="utf-8")
+        result, code = args.run(args)
+    except (ValueError, OSError, FaceBudgetError, DecompositionError) as exc:
         result = {"error": str(exc), "error_type": type(exc).__name__}
         code = 1
     report = {
@@ -295,9 +268,9 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        with out:
+            out.write(text + "\n")
     else:
         try:
             print(text, flush=True)

@@ -121,6 +121,10 @@ class SimplicialComplex:
     The empty face is a face of every complex; it is kept implicit and never
     stored.  Equality compares vertex counts and face sets (labels are
     presentation data and do not participate).
+
+    ``closed=True`` is the caller's promise that ``faces`` is already closed
+    under taking faces; it is not checked, and homology of a complex that
+    breaks it raises ``ValueError``.
     """
 
     __slots__ = ("n_vertices", "labels", "_by_dim", "_face_set", "_label_index")
@@ -283,9 +287,11 @@ def _sorted_distinct(faces: list) -> tuple:
 class ProductCellComplex:
     """Cell complex whose cells are tuples of nonempty faces of a base complex.
 
-    Cells are graded by the sum of the factor dimensions.  The cell set is
-    closed under replacing any factor by one of its nonempty codimension-1
-    faces, which is what the cellular boundary operator needs.
+    Cells are graded by the sum of the factor dimensions.  The cell set must
+    be closed under replacing any factor by one of its nonempty codimension-1
+    faces, which is what the cellular boundary operator needs; this is not
+    checked, and homology of a cell set that is not closed raises
+    ``ValueError``.
     """
 
     __slots__ = ("base", "n", "k", "_by_dim", "_cell_set")

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import TheoremInstance, strict_inequality_note, volovikov_condition
+from .bounds import TheoremInstance, promised_faces, strict_inequality_note, volovikov_condition
 from .complexes import Coloring, is_int, is_int_lists, json_field
 
 
@@ -507,11 +507,7 @@ def verify_theorem_empirically(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    verdict = volovikov_condition(ti)
-    upgrade = strict_inequality_note(ti)
-    promised = None
-    if verdict.applicable:
-        promised = upgrade.promised_faces if upgrade else verdict.q
+    promised = promised_faces(volovikov_condition(ti), strict_inequality_note(ti))
     effective_q = ti.q if q is None else q
     mode = "certified" if promised is not None and effective_q <= promised else "exploratory"
 

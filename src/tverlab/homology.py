@@ -258,19 +258,23 @@ def _assemble(graded, n_factors: int, n_vertices: int, p: int) -> ChainComplexMo
     for cells in graded:
         index: dict[int, int] = {}
         cols = []
-        for cell in cells:
-            key = 0
-            terms = []  # (bit, sign) of each vertex that may be dropped
-            parity = 0  # of the dimension of the factors so far
-            for b, f in zip(bits, cell):
-                fbits = list(map(b.__getitem__, f))
-                key += sum(fbits)
-                if len(f) > 1:
-                    terms += zip(fbits, signs[parity])
-                parity ^= ~len(f) & 1
-            index[key] = len(index)
-            # dims is empty in degree 0, whose boundary is the augmentation
-            cols.append({lower[key ^ bit]: s for bit, s in terms} if dims else {0: 1})
+        try:
+            for cell in cells:
+                key = 0
+                terms = []  # (bit, sign) of each vertex that may be dropped
+                parity = 0  # of the dimension of the factors so far
+                for b, f in zip(bits, cell):
+                    fbits = list(map(b.__getitem__, f))
+                    key += sum(fbits)
+                    if len(f) > 1:
+                        terms += zip(fbits, signs[parity])
+                    parity ^= ~len(f) & 1
+                index[key] = len(index)
+                # dims is empty in degree 0, whose boundary is the augmentation
+                cols.append({lower[key ^ bit]: s for bit, s in terms} if dims else {0: 1})
+        except KeyError:
+            # a face of the cell is not among the cells one degree down
+            raise ValueError("complex is not closed under taking faces") from None
         # the columns are built reduced mod p, so set_column is not needed
         mat = ModMatrix(dims[-1] if dims else 1, 0, p)
         mat.ncols, mat.cols = len(cols), cols

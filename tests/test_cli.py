@@ -150,6 +150,7 @@ def test_face_budget_flag(capsys):
     code, report = run_cli(capsys, "--face-budget", "10", "chessboard", "4", "4")
     assert code == 1
     assert report["result"]["error_type"] == "FaceBudgetError"
+    assert report["input_echo"] == {"subcommand": "chessboard", "m": 4, "n": 4}
 
 
 def test_usage_error_exit_code(capsys):
@@ -167,17 +168,74 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert report["result"]["f_vector"] == [4, 2]
 
 
-def test_input_echo_reproduces_the_report(capsys):
-    code, first = run_cli(capsys, "hconn", "--chessboard", "3", "3", "--p", "2")
+def test_out_path_that_cannot_be_opened_gives_one_report(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["--out", str(path), "chessboard", "2", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["input_echo"] == {"subcommand": "chessboard", "m": 2, "n": 2}
+    assert report["result"]["error_type"] == "FileNotFoundError"
+    assert str(path) in report["result"]["error"]
+    assert not path.parent.exists()
+
+
+def argv_from_echo(echo):
+    """Flags that give back ``echo``: positionals for the board and rainbow
+    subcommands, None values omitted."""
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    echo = dict(echo)
+    argv = [echo.pop("subcommand")]
+    if argv[0] in ("chessboard", "rainbow"):
+        return argv + [text(value) for value in echo.values()]
+    for key, value in echo.items():
+        if value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        argv += [flag, *map(str, value)] if key == "chessboard" else [flag, text(value)]
+    return argv
+
+
+def without_timing(report):
+    report = {k: v for k, v in report.items() if k != "timing_seconds"}
+    report["result"] = {k: v for k, v in report["result"].items() if k != "elapsed_seconds"}
+    return report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chessboard", "3", "3"],
+        ["rainbow", "2,2"],
+        ["deleted-join", "--points", "3", "--copies", "2", "--wise", "2"],
+        ["deleted-product", "--complex", "{complex}", "--copies", "2"],
+        ["betti", "--rainbow", "2,2", "--p", "3"],
+        ["hconn", "--chessboard", "3", "3", "--p", "2"],
+        ["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "7", "--n", "1",
+         "--sizes", "10,10,9"],
+        ["tverberg-search", "--config", "{config}", "--q", "2", "--lp-budget", "1000"],
+        ["experiment", "--d", "2", "--p", "2", "--n", "1", "--k", "2", "--m", "0",
+         "--sizes", "3,3,3", "--trials", "2", "--seed", "1"],
+        ["decompose", "--sizes", "2,2", "--r", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_input_echo_reproduces_the_report(tmp_path, capsys, argv):
+    files = {"complex": tmp_path / "complex.json", "config": tmp_path / "config.json"}
+    files["complex"].write_text(json.dumps({"vertices": 3, "faces": [[0, 1], [1, 2]]}))
+    files["config"].write_text(json.dumps(random_configuration(2, [3, 3, 3], seed=12).to_dict()))
+    argv = [arg.format(**files) for arg in argv]
+    code, first = run_cli(capsys, *argv)
+    assert "error" not in first["result"]
     echo = first["input_echo"]
-    argv = [
-        echo["subcommand"],
-        "--chessboard", str(echo["chessboard"][0]), str(echo["chessboard"][1]),
-        "--p", str(echo["p"]),
-    ]
-    code, second = run_cli(capsys, *argv)
-    assert second["input_echo"] == echo
-    assert second["result"] == first["result"]
+    assert echo["subcommand"] == argv[0]
+    assert {a for a in argv if a.startswith("--")} <= set(argv_from_echo(echo))
+    again, second = run_cli(capsys, *argv_from_echo(echo))
+    assert again == code
+    assert without_timing(second) == without_timing(first)
 
 
 def test_table_flag_emits_summary(capsys):
@@ -224,6 +282,25 @@ def test_bad_config_file_gives_one_report(tmp_path, capsys, doc, key):
     assert code == 1
     assert report["result"]["error_type"] == "ValueError"
     assert repr(key) in report["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--complex", "{dir}", "--p", "2"],
+        ["tverberg-search", "--config", "{dir}", "--q", "2"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_input_file_that_is_a_directory_gives_one_report(tmp_path, capsys, argv):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["result"]["error_type"] == "IsADirectoryError"
+    assert argv_from_echo(report["input_echo"]) == argv
 
 
 def test_closed_stdout_prints_no_traceback():

@@ -114,6 +114,21 @@ def test_chain_complex_rejects_composite_modulus():
         cellular_chain_complex(deleted_product(discrete_points(2), 2, 2), 6)
 
 
+@pytest.mark.parametrize(
+    "complex_",
+    [
+        SimplicialComplex(3, [(0, 1, 2)], closed=True),
+        SimplicialComplex(3, [(0,), (1,), (2,), (0, 1), (0, 1, 2)], closed=True),
+        ProductCellComplex(full_simplex(1), 2, 2, [((0,), (1,)), ((0, 1), (1,))]),
+    ],
+    ids=["facet-only", "edges-missing", "product"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_complex_not_closed_under_faces_is_rejected(complex_, p):
+    with pytest.raises(ValueError, match="not closed under taking faces"):
+        betti_numbers(complex_, p)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_euler_characteristic_identity(p):
     # alternating sum of cell counts equals alternating sum of unreduced Betti
