@@ -305,9 +305,11 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
     conditions.append(y3)
 
     required = (d - 1) * (r - 1) + q
-    bound_claimed = not violations and m >= needed
-    achieved = d * (r - 1) if bound_claimed else None
-    if bound_claimed:
+    try:
+        achieved = index_lower_bound_deleted_product(ti).lower
+    except (SizeThresholdError, InapplicableError):
+        achieved = None
+    if achieved is not None:
         relation = "=" if achieved == required else (">" if achieved > required else "<")
         conditions.append(
             Condition(

@@ -5,7 +5,8 @@ Every invocation prints a single JSON document
 whose ``input_echo``, read off the parsed arguments, reproduces the run when
 fed back as flags; error reports carry it too.  Exit codes: 0 success,
 1 domain failure (thresholds unmet, no witness, budget hit, an input file
-that cannot be read, an ``--out`` file that cannot be opened), 2 usage error.
+that cannot be read, an ``--out`` file that cannot be opened or written,
+whose error report goes to stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -248,6 +249,10 @@ def _summarize(result: dict) -> str:
     return "\n".join(lines)
 
 
+def _error_result(exc: Exception) -> dict:
+    return {"error": str(exc), "error_type": type(exc).__name__}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     echo = {key: value for key, value in vars(args).items()
@@ -259,8 +264,7 @@ def main(argv=None) -> int:
             out = open(args.out, "w", encoding="utf-8")
         result, code = args.run(args)
     except (ValueError, OSError, FaceBudgetError, DecompositionError) as exc:
-        result = {"error": str(exc), "error_type": type(exc).__name__}
-        code = 1
+        result, code = _error_result(exc), 1
     report = {
         "input_echo": echo,
         "result": result,
@@ -269,9 +273,17 @@ def main(argv=None) -> int:
     }
     text = json.dumps(report, indent=2)
     if out is not None:
-        with out:
-            out.write(text + "\n")
-    else:
+        try:
+            with out:
+                out.write(text + "\n")
+        except OSError as exc:
+            # the report could not be written to --out (a full disk, say),
+            # so an error report goes to stdout instead
+            result = report["result"] = _error_result(exc)
+            code = 1
+            text = json.dumps(report, indent=2)
+            out = None
+    if out is None:
         try:
             print(text, flush=True)
         except BrokenPipeError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bounds import TheoremInstance, promised_faces, strict_inequality_note, volovikov_condition
@@ -27,7 +27,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot parse rational from {value!r}")
 
 
@@ -142,91 +145,22 @@ def enumerate_rainbow_faces(config: ColoredConfiguration, max_dim=None) -> list[
 # -- exact LP feasibility -----------------------------------------------------
 
 
-def _pivot(tableau, r, c):
-    prow = tableau[r]
-    inv = Fraction(1) / prow[c]
-    tableau[r] = [v * inv for v in prow]
-    prow = tableau[r]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(row, prow)]
-
-
-def _phase_one_simplex(A, b):
-    """Solve Ax = b, x >= 0 for a feasible x over the rationals.
-
-    Phase-1 simplex minimizing the sum of artificial variables, entering and
-    leaving chosen by Bland's rule (guaranteed termination).  Returns a list
-    of Fractions or None when infeasible.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    tableau = []
-    for i in range(m):
-        row = list(A[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        row.append(rhs)
-        tableau.append(row)
-    basis = [n + i for i in range(m)]  # artificial variable ids
-
-    while True:
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        if not art_rows:
-            break
-        enter = None
-        for j in range(n):
-            reduced = sum(tableau[i][j] for i in art_rows)
-            if reduced > 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        assert leave is not None, "phase-1 objective is bounded below by zero"
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
-
-    if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= n):
-        return None
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tableau[i][-1]
-    return x
-
-
-def _face_vertices(face) -> tuple[int, ...]:
-    if isinstance(face, RainbowFace):
-        return face.vertices
-    return tuple(face)
-
-
 def hulls_intersect(faces, config: ColoredConfiguration):
     """Decide whether the convex hulls of the given faces share a point.
 
     Returns ``(point, weights)`` with exact rational entries, or None when
     the intersection is empty; both answers are exact.  ``weights[i]`` is
-    aligned with the sorted vertex list of face i.
+    aligned with the sorted vertex list of face i (a plain vertex tuple is
+    taken in the order given).
+
+    The weights x >= 0 come from a phase-1 simplex over the rationals.  One
+    row per face says that its weights sum to 1, and d rows per later face
+    say that it reproduces face 0's point.  Every right-hand side is 0 or 1,
+    so row i starts on its own artificial variable, id n + i.  The pivots
+    drive the artificial sum to zero, entering and leaving by Bland's rule
+    (guaranteed termination).
     """
-    vert_lists = [_face_vertices(f) for f in faces]
+    vert_lists = [f.vertices if isinstance(f, RainbowFace) else tuple(f) for f in faces]
     if not vert_lists or any(not vs for vs in vert_lists):
         raise ValueError("every face must be nonempty")
     d = config.d
@@ -242,36 +176,53 @@ def hulls_intersect(faces, config: ColoredConfiguration):
     offsets = [0]
     for vs in vert_lists:
         offsets.append(offsets[-1] + len(vs))
-    ncols = offsets[-1]
-    A = []
-    b = []
+    n = offsets[-1]  # weight columns; column n is the right-hand side
+    zero, one = Fraction(0), Fraction(1)
+    rows = []
     for i, vs in enumerate(vert_lists):
-        row = [Fraction(0)] * ncols
-        for j in range(len(vs)):
-            row[offsets[i] + j] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
+        row = [zero] * (n + 1)
+        row[offsets[i]:offsets[i + 1]] = [one] * len(vs)
+        row[n] = one
+        rows.append(row)
+    first = vert_lists[0]
     for i in range(1, len(vert_lists)):
         for t in range(d):
-            row = [Fraction(0)] * ncols
-            for j, v in enumerate(vert_lists[0]):
-                row[offsets[0] + j] = pts[v][t]
-            for j, v in enumerate(vert_lists[i]):
-                row[offsets[i] + j] -= pts[v][t]
-            A.append(row)
-            b.append(Fraction(0))
+            row = [zero] * (n + 1)
+            row[:len(first)] = [pts[v][t] for v in first]
+            row[offsets[i]:offsets[i + 1]] = [-pts[v][t] for v in vert_lists[i]]
+            rows.append(row)
+    basis = list(range(n, n + len(rows)))
 
-    x = _phase_one_simplex(A, b)
-    if x is None:
+    while True:
+        art = [row for row, bv in zip(rows, basis) if bv >= n]
+        enter = next((j for j in range(n) if sum(row[j] for row in art) > 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[n] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        assert leave is not None, "phase-1 objective is bounded below by zero"
+        inv = one / rows[leave][enter]
+        prow = rows[leave] = [v * inv for v in rows[leave]]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        basis[leave] = enter
+
+    if any(row[n] for row, bv in zip(rows, basis) if bv >= n):
         return None
-    weights = tuple(
-        tuple(x[offsets[i] + j] for j in range(len(vs)))
-        for i, vs in enumerate(vert_lists)
-    )
-    first = vert_lists[0]
+    x = [zero] * n
+    for row, bv in zip(rows, basis):
+        if bv < n:
+            x[bv] = row[n]
+    weights = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(len(vert_lists)))
     point = tuple(
-        sum((weights[0][j] * pts[v][t] for j, v in enumerate(first)), Fraction(0))
-        for t in range(d)
+        sum((w * pts[v][t] for w, v in zip(weights[0], first)), zero) for t in range(d)
     )
     return point, weights
 
@@ -315,9 +266,7 @@ class Witness:
     def to_dict(self) -> dict:
         return {
             "faces": [list(f.vertices) for f in self.faces],
-            "members": [
-                {str(c): v for c, v in f.members} for f in self.faces
-            ],
+            "members": [f.to_dict()["members"] for f in self.faces],
             "point": [format_rational(c) for c in self.point],
             "weights": [[format_rational(w) for w in ws] for ws in self.weights],
         }
@@ -357,6 +306,12 @@ def find_disjoint_intersecting_family(
     order.  A partial family is extended only while its hulls already
     intersect, which is sound because adding a face can only shrink the
     intersection.  Deterministic: equal inputs give the identical result.
+
+    Without ``lp_budget`` the search is exhaustive: it makes at most one hull
+    query per increasing family (in the face order above) of at most q
+    pairwise disjoint rainbow faces, and ends "found" or "none".
+    ``lp_budget`` is the bound on hull queries; a search that reaches it
+    ends "budget".
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -466,16 +421,7 @@ class ExperimentReport:
             "successes": self.successes,
             "budget_exhausted": self.budget_exhausted,
             "hull_queries_total": sum(t.hull_queries for t in self.trials),
-            "per_trial": [
-                {
-                    "trial": t.trial,
-                    "seed": t.seed,
-                    "status": t.status,
-                    "hull_queries": t.hull_queries,
-                    "nodes": t.nodes,
-                }
-                for t in self.trials
-            ],
+            "per_trial": [asdict(t) for t in self.trials],
             "counterexamples": [dict(c) for c in self.counterexamples],
             "elapsed_seconds": self.elapsed_seconds,
         }

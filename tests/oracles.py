@@ -185,6 +185,52 @@ def oracle_hulls_intersect_pair(face_a, face_b, points, d):
     return False
 
 
+def _line_crossing(a1, a2, b1, b2):
+    """The common point of the lines a1a2 and b1b2, or None when they are
+    parallel or a pair is a single point."""
+    u = (a2[0] - a1[0], a2[1] - a1[1])
+    v = (b2[0] - b1[0], b2[1] - b1[1])
+    den = u[0] * v[1] - u[1] * v[0]
+    if den == 0:
+        return None
+    w = (b1[0] - a1[0], b1[1] - a1[1])
+    t = Fraction(w[0] * v[1] - w[1] * v[0]) / den
+    return (a1[0] + t * u[0], a1[1] + t * u[1])
+
+
+def oracle_hulls_meet_2d(faces, points):
+    """Decide whether the planar convex hulls of any number of faces share
+    a point, exactly.
+
+    A nonempty intersection of convex polygons is a convex polygon (possibly
+    a segment or a point).  Each of its corners is a vertex of one hull or
+    the crossing of two edges of different hulls.  So it is enough to test
+    every point of every face, and every crossing of two vertex-pair
+    segments from different faces, against every hull.
+    """
+    hulls = [[points[v] for v in face] for face in faces]
+    candidates = [p for hull in hulls for p in hull]
+    for ha, hb in itertools.combinations(hulls, 2):
+        for a1, a2 in itertools.combinations(ha, 2):
+            for b1, b2 in itertools.combinations(hb, 2):
+                x = _line_crossing(a1, a2, b1, b2)
+                if x is not None:
+                    candidates.append(x)
+    return any(all(point_in_hull_2d(x, hull) for hull in hulls) for x in candidates)
+
+
+def check_certificate(points, d, faces, point, weights):
+    """Assert that ``weights`` are convex weights on each face that all
+    reproduce ``point``."""
+    assert len(weights) == len(faces)
+    for vs, ws in zip(faces, weights):
+        assert len(vs) == len(ws)
+        assert all(w >= 0 for w in ws)
+        assert sum(ws) == 1
+        for t in range(d):
+            assert sum(w * points[v][t] for w, v in zip(ws, vs)) == point[t]
+
+
 def random_rational_faces(rng, d, max_points_per_face):
     """An instance for the LP-vs-predicates comparison: two disjoint faces
     over a shared small-coordinate point set (collisions and collinear

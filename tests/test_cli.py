@@ -181,6 +181,17 @@ def test_out_path_that_cannot_be_opened_gives_one_report(tmp_path, capsys):
     assert not path.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_file_that_cannot_be_written_gives_one_report(capsys):
+    code = main(["--out", "/dev/full", "chessboard", "2", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["input_echo"] == {"subcommand": "chessboard", "m": 2, "n": 2}
+    assert report["result"]["error_type"] == "OSError"
+
+
 def argv_from_echo(echo):
     """Flags that give back ``echo``: positionals for the board and rainbow
     subcommands, None values omitted."""
@@ -273,6 +284,7 @@ def test_bad_complex_file_gives_one_report(tmp_path, capsys, doc, key):
         ({"d": 1, "colors": [[0], [1]]}, "points"),
         ({"d": "1", "points": [["0"], ["1"]], "colors": [[0], [1]]}, "d"),
         ({"d": 1, "points": [["0"], ["1"]], "colors": [0, 1]}, "colors"),
+        ({"d": 1, "points": [["1/0"], ["1"]], "colors": [[0], [1]]}, "1/0"),
     ],
 )
 def test_bad_config_file_gives_one_report(tmp_path, capsys, doc, key):

@@ -20,7 +20,7 @@ from tverlab.geometry import (
     verify_theorem_empirically,
 )
 
-from oracles import oracle_hulls_intersect_pair, random_rational_faces
+from oracles import check_certificate, oracle_hulls_intersect_pair, random_rational_faces
 
 
 def _config(d, pts, blocks):
@@ -49,6 +49,13 @@ def test_rational_codec():
     assert format_rational(Fraction(-2)) == "-2"
     with pytest.raises(ValueError):
         parse_rational(True)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        ColoredConfiguration.from_dict({"d": 1, "points": [["1/0"]], "colors": [[0]]})
 
 
 def test_configuration_round_trip():
@@ -140,17 +147,8 @@ def test_lp_agrees_with_planar_predicates():
         if lp is not None:
             checked_feasible += 1
             point, weights = lp
-            _check_certificate(cfg, [tuple(fa), tuple(fb)], point, weights)
+            check_certificate(cfg.points, d, [tuple(fa), tuple(fb)], point, weights)
     assert checked_feasible > 10  # both verdicts exercised
-
-
-def _check_certificate(cfg, faces, point, weights):
-    for vs, ws in zip(faces, weights):
-        assert len(vs) == len(ws)
-        assert all(w >= 0 for w in ws)
-        assert sum(ws) == 1
-        for t in range(cfg.d):
-            assert sum(w * cfg.points[v][t] for w, v in zip(ws, vs)) == point[t]
 
 
 # -- witness search ----------------------------------------------------------------

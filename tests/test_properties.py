@@ -1,17 +1,19 @@
 """Property tests: random small complexes against the independent oracles,
-the reduced Euler identity, and invariance under relabelling vertices."""
+the reduced Euler identity, and invariance under relabelling vertices; the
+exact hull LP against a planar oracle; JSON round trips.  The hypothesis
+profile is set in ``conftest.py``."""
 
+import json
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from tverlab.complexes import SimplicialComplex, deleted_product
+from tverlab.complexes import Coloring, SimplicialComplex, deleted_product
+from tverlab.geometry import ColoredConfiguration, hulls_intersect
 from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain_complex
 
-from oracles import oracle_betti, oracle_cellular_betti
-
-# derandomized, so every run of the suite draws the same examples
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+from oracles import check_certificate, oracle_betti, oracle_cellular_betti, oracle_hulls_meet_2d
 
 
 @st.composite
@@ -41,7 +43,6 @@ def reduced_euler_holds(f_vector, betti) -> bool:
     return cells - 1 == below + sum((-1) ** d * b for d, b in enumerate(betti))
 
 
-@SETTINGS
 @given(complexes(), primes, st.integers(0, 2**32))
 def test_simplicial_betti_agrees_with_oracle_and_relabelling(c, p, seed):
     cc = chain_complex(c, p)
@@ -52,7 +53,6 @@ def test_simplicial_betti_agrees_with_oracle_and_relabelling(c, p, seed):
     assert betti_numbers(relabelled(c, seed), p).betti == profile
 
 
-@SETTINGS
 @given(
     complexes(max_vertices=4, max_facets=3),
     st.integers(2, 3),
@@ -69,3 +69,51 @@ def test_deleted_product_betti_agrees_with_oracle_and_relabelling(base, n, k, p,
     assert reduced_euler_holds(product.f_vector, profile)
     moved = deleted_product(relabelled(base, seed), n, k)
     assert betti_numbers(moved, p).betti == profile
+
+
+# small coordinates, some halves: coincident points and collinear triples
+# turn up often
+coordinates = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2]))
+
+
+@given(st.lists(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=4),
+                min_size=2, max_size=3))
+def test_hull_lp_agrees_with_planar_oracle(point_lists):
+    points = [pt for pts in point_lists for pt in pts]
+    faces, start = [], 0
+    for pts in point_lists:
+        faces.append(tuple(range(start, start + len(pts))))
+        start += len(pts)
+    config = ColoredConfiguration(2, tuple(points), Coloring((tuple(range(start)),)))
+    res = hulls_intersect(faces, config)
+    assert (res is not None) == oracle_hulls_meet_2d(faces, config.points)
+    if res is not None:
+        point, weights = res
+        check_certificate(config.points, 2, faces, point, weights)
+
+
+@given(complexes())
+def test_simplicial_complex_json_round_trip(c):
+    assert SimplicialComplex.from_json(c.to_json()) == c
+
+
+@st.composite
+def configurations(draw):
+    """A configuration in Q^d, d <= 3, with its points dealt into color
+    classes in a random order."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    order = draw(st.permutations(range(sum(sizes))))
+    blocks, start = [], 0
+    for s in sizes:
+        blocks.append(tuple(order[start:start + s]))
+        start += s
+    point = st.tuples(*[st.fractions(max_denominator=10 ** 6)] * d)
+    points = draw(st.lists(point, min_size=start, max_size=start))
+    return ColoredConfiguration(d, tuple(points), Coloring(tuple(blocks)))
+
+
+@given(configurations())
+def test_configuration_json_round_trip(config):
+    doc = json.loads(json.dumps(config.to_dict()))
+    assert ColoredConfiguration.from_dict(doc) == config
