@@ -1,88 +1,60 @@
 """Configuration spaces of the colored Tverberg problem at desk scale:
 chessboard and rainbow complexes, deleted joins and products, homology over
 Z_p, index-bound arithmetic, and exact search for disjoint rainbow faces
-with intersecting hulls."""
+with intersecting hulls.
+
+Submodules load on first use: ``import tverlab`` imports none of them, and
+the first access to a public name (``tverlab.chessboard``) or to a submodule
+(``tverlab.geometry``) imports just the submodule that defines it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    FaceCountUpgrade,
-    IndexBound,
-    InapplicableError,
-    SizeThresholdError,
-    TheoremInstance,
-    Verdict,
-    conn_lower_bound_join,
-    evaluate_bundle,
-    index_lower_bound_deleted_join,
-    index_lower_bound_deleted_product,
-    strict_inequality_note,
-    volovikov_condition,
-)
-from .complexes import (
-    Coloring,
-    DecompositionError,
-    DecompositionWitness,
-    FaceBudgetError,
-    ProductCellComplex,
-    SimplicialComplex,
-    apply_symmetry,
-    boundary_simplex,
-    chessboard,
-    decomposition_isomorphism,
-    deleted_join,
-    deleted_product,
-    discrete_points,
-    full_simplex,
-    join,
-    join_many,
-    rainbow_complex,
-    regular_embedding,
-)
-from .geometry import (
-    ColoredConfiguration,
-    ExperimentReport,
-    RainbowFace,
-    SearchResult,
-    Witness,
-    enumerate_rainbow_faces,
-    find_disjoint_intersecting_family,
-    hulls_intersect,
-    random_configuration,
-    verify_theorem_empirically,
-)
-from .homology import (
-    BettiProfile,
-    ChainComplexModP,
-    HConn,
-    betti,
-    betti_numbers,
-    cellular_chain_complex,
-    chain_complex,
-    hconn,
-)
+# each public name under the submodule that defines it
+_EXPORTS = {
+    "complexes": (
+        "SimplicialComplex", "ProductCellComplex", "Coloring",
+        "DecompositionWitness", "DecompositionError", "FaceBudgetError",
+        "chessboard", "rainbow_complex", "join", "join_many",
+        "deleted_join", "deleted_product", "decomposition_isomorphism",
+        "apply_symmetry", "regular_embedding",
+        "discrete_points", "full_simplex", "boundary_simplex",
+    ),
+    "homology": (
+        "ChainComplexModP", "BettiProfile", "HConn",
+        "chain_complex", "cellular_chain_complex", "betti", "betti_numbers", "hconn",
+    ),
+    "bounds": (
+        "TheoremInstance", "IndexBound", "Verdict", "FaceCountUpgrade",
+        "SizeThresholdError", "InapplicableError",
+        "conn_lower_bound_join", "index_lower_bound_deleted_join",
+        "index_lower_bound_deleted_product", "volovikov_condition",
+        "strict_inequality_note", "evaluate_bundle",
+    ),
+    "geometry": (
+        "ColoredConfiguration", "RainbowFace", "Witness", "SearchResult",
+        "ExperimentReport", "enumerate_rainbow_faces", "hulls_intersect",
+        "find_disjoint_intersecting_family", "random_configuration",
+        "verify_theorem_empirically",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # complexes
-    "SimplicialComplex", "ProductCellComplex", "Coloring",
-    "DecompositionWitness", "DecompositionError", "FaceBudgetError",
-    "chessboard", "rainbow_complex", "join", "join_many",
-    "deleted_join", "deleted_product", "decomposition_isomorphism",
-    "apply_symmetry", "regular_embedding",
-    "discrete_points", "full_simplex", "boundary_simplex",
-    # homology
-    "ChainComplexModP", "BettiProfile", "HConn",
-    "chain_complex", "cellular_chain_complex", "betti", "betti_numbers", "hconn",
-    # bounds
-    "TheoremInstance", "IndexBound", "Verdict", "FaceCountUpgrade",
-    "SizeThresholdError", "InapplicableError",
-    "conn_lower_bound_join", "index_lower_bound_deleted_join",
-    "index_lower_bound_deleted_product", "volovikov_condition",
-    "strict_inequality_note", "evaluate_bundle",
-    # geometry
-    "ColoredConfiguration", "RainbowFace", "Witness", "SearchResult",
-    "ExperimentReport", "enumerate_rainbow_faces", "hulls_intersect",
-    "find_disjoint_intersecting_family", "random_configuration",
-    "verify_theorem_empirically",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule also binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -18,9 +18,9 @@ import sys
 import time
 
 from . import __version__
-from .bounds import TheoremInstance, evaluate_bundle
 from .complexes import (
     DEFAULT_FACE_BUDGET,
+    FACE_BUDGET_VARIABLE,
     DecompositionError,
     FaceBudgetError,
     SimplicialComplex,
@@ -31,12 +31,6 @@ from .complexes import (
     discrete_points,
     rainbow_complex,
 )
-from .geometry import (
-    ColoredConfiguration,
-    find_disjoint_intersecting_family,
-    verify_theorem_empirically,
-)
-from .homology import betti, chain_complex, hconn
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -81,7 +75,9 @@ def _add_bundle(sp):
     sp.add_argument("--sizes", type=_csv_ints, required=True)
 
 
-def _instance(args) -> TheoremInstance:
+def _instance(args):
+    from .bounds import TheoremInstance
+
     return TheoremInstance(d=args.d, k=args.k, m_large=args.m,
                            p=args.p, n=args.n, sizes=tuple(args.sizes))
 
@@ -96,7 +92,9 @@ def _complex_payload(complex_):
     }
 
 
-# each subparser binds a run function: parsed arguments -> (result, exit code)
+# each subparser binds a run function: parsed arguments -> (result, exit code);
+# a run function imports what it needs beyond complexes, so that a command
+# loads only the modules it calls
 def _run_chessboard(args):
     return _complex_payload(chessboard(args.m, args.n, budget=args.face_budget)), 0
 
@@ -125,6 +123,8 @@ def _run_deleted_product(args):
 
 
 def _run_homology(args):
+    from .homology import betti, chain_complex, hconn
+
     cc = chain_complex(_resolve_complex(args), args.p)
     h = hconn(cc, args.p)
     return {"p": args.p, "betti": list(betti(cc).betti),
@@ -132,11 +132,15 @@ def _run_homology(args):
 
 
 def _run_verify_theorem(args):
+    from .bounds import evaluate_bundle
+
     report = evaluate_bundle(_instance(args))
     return report, 0 if report["verdict"]["applicable"] else 1
 
 
 def _run_tverberg_search(args):
+    from .geometry import ColoredConfiguration, find_disjoint_intersecting_family
+
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ColoredConfiguration.from_dict(json.load(fh))
     res = find_disjoint_intersecting_family(
@@ -151,6 +155,8 @@ def _run_tverberg_search(args):
 
 
 def _run_experiment(args):
+    from .geometry import verify_theorem_empirically
+
     report = verify_theorem_empirically(
         _instance(args), args.trials, args.seed,
         q=args.q, lp_budget=args.lp_budget, coordinate_bound=args.bound,
@@ -175,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chessboard complexes, deleted joins/products, mod-p homology, "
                     "index bounds, and exact rainbow-face witness search.",
     )
-    parser.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET,
+    parser.add_argument("--face-budget", type=int, default=None,
                         help="refuse constructions beyond this many faces "
-                             f"(default {DEFAULT_FACE_BUDGET}, env TVERLAB_FACE_BUDGET)")
+                             f"(default ${FACE_BUDGET_VARIABLE}, else {DEFAULT_FACE_BUDGET})")
     parser.add_argument("--out", metavar="PATH",
                         help="write the JSON report to PATH instead of stdout")
     parser.add_argument("--table", action="store_true",

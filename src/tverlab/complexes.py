@@ -18,7 +18,20 @@ import operator
 import os
 from dataclasses import dataclass
 
-DEFAULT_FACE_BUDGET = int(os.environ.get("TVERLAB_FACE_BUDGET", "10000000"))
+FACE_BUDGET_VARIABLE = "TVERLAB_FACE_BUDGET"
+DEFAULT_FACE_BUDGET = 10_000_000
+
+
+def default_face_budget() -> int:
+    """The budget of a constructor called without ``budget=``: the
+    ``TVERLAB_FACE_BUDGET`` environment variable, read at the call, or
+    DEFAULT_FACE_BUDGET when it is unset."""
+    text = os.environ.get(FACE_BUDGET_VARIABLE)
+    if text is None:
+        return DEFAULT_FACE_BUDGET
+    if not text.strip().isdecimal():
+        raise ValueError(f"{FACE_BUDGET_VARIABLE} must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class FaceBudgetError(RuntimeError):
@@ -133,7 +146,7 @@ class SimplicialComplex:
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         if budget is None:
-            budget = DEFAULT_FACE_BUDGET
+            budget = default_face_budget()
         self.n_vertices = n_vertices
         if labels is None:
             labels = tuple(range(n_vertices))
@@ -384,7 +397,7 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
     if m < 1 or n < 1:
         raise ValueError("board sides must be positive")
     if budget is None:
-        budget = DEFAULT_FACE_BUDGET
+        budget = default_face_budget()
     sizes = range(1, min(m, n) + 1)
     _check_budget(sum(math.comb(m, s) * math.perm(n, s) for s in sizes), budget,
                   f"chessboard({m},{n})")
@@ -410,7 +423,7 @@ def rainbow_complex(sizes, *, budget=None):
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
     if budget is None:
-        budget = DEFAULT_FACE_BUDGET
+        budget = default_face_budget()
     total = 1
     for s in sizes:
         total *= s + 1
@@ -447,7 +460,7 @@ def join_many(factors, *, budget=None) -> SimplicialComplex:
     if not factors:
         raise ValueError("need at least one factor")
     if budget is None:
-        budget = DEFAULT_FACE_BUDGET
+        budget = default_face_budget()
     total = 1
     for fac in factors:
         total *= fac.face_count + 1
@@ -539,7 +552,7 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
     if k < 2:
         raise ValueError("wiseness k must be at least 2")
     if budget is None:
-        budget = DEFAULT_FACE_BUDGET
+        budget = default_face_budget()
     nb = base.n_vertices
     labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
     # copy c of vertex v is c*nb + v, so the concatenated parts stay sorted
@@ -558,7 +571,7 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
     if k < 2:
         raise ValueError("wiseness k must be at least 2")
     if budget is None:
-        budget = DEFAULT_FACE_BUDGET
+        budget = default_face_budget()
     cells = _tuple_stream(
         base, n, k, lambda c, f: (f,), False, budget, f"{n}-fold deleted product"
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -20,18 +21,28 @@ from .bounds import TheoremInstance, promised_faces, strict_inequality_note, vol
 from .complexes import Coloring, is_int, is_int_lists, json_field
 
 
+# the coordinate strings a configuration may use: "[+-]digits" or
+# "[+-]digits/digits", with surrounding whitespace
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(value) -> Fraction:
-    """Accept an int, a bare integer string, or a "num/den" string."""
+    """Accept an int, a Fraction, or a string ``[+-]digits`` or
+    ``[+-]digits/digits`` with surrounding whitespace; anything else
+    (exponents, decimals, underscores, ``inf``) raises ``ValueError``."""
     if isinstance(value, bool):
         raise ValueError("booleans are not coordinates")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"cannot parse rational from {value!r}")
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"cannot parse rational from {value!r}: expected an int, a Fraction, "
+                         "or a string '[+-]digits' or '[+-]digits/digits'")
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -1,8 +1,5 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -285,6 +282,7 @@ def test_bad_complex_file_gives_one_report(tmp_path, capsys, doc, key):
         ({"d": "1", "points": [["0"], ["1"]], "colors": [[0], [1]]}, "d"),
         ({"d": 1, "points": [["0"], ["1"]], "colors": [0, 1]}, "colors"),
         ({"d": 1, "points": [["1/0"], ["1"]], "colors": [[0], [1]]}, "1/0"),
+        ({"d": 1, "points": [["1e4000000"], ["1"]], "colors": [[0], [1]]}, "1e4000000"),
     ],
 )
 def test_bad_config_file_gives_one_report(tmp_path, capsys, doc, key):
@@ -315,21 +313,60 @@ def test_input_file_that_is_a_directory_gives_one_report(tmp_path, capsys, argv)
     assert argv_from_echo(report["input_echo"]) == argv
 
 
-def test_closed_stdout_prints_no_traceback():
+def test_closed_stdout_prints_no_traceback(fresh_python):
     # the 7x7 report is about 0.5 MB, more than a pipe buffers, so the
     # write meets the closed pipe
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tverlab.cli", "chessboard", "7", "7"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = fresh_python("-m", "tverlab.cli", "chessboard", "7", "7")
     assert proc.stdout.read(10)
     proc.stdout.close()
-    try:
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        stderr = proc.stderr.read()
-        proc.stderr.close()
-    assert stderr == b""
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("text", ["abc", "-5", ""])
+def test_malformed_face_budget_variable_gives_one_report(fresh_python, text):
+    proc = fresh_python("-m", "tverlab.cli", "chessboard", "2", "2",
+                        env={"TVERLAB_FACE_BUDGET": text})
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+    report = json.loads(out)
+    assert report["result"]["error_type"] == "ValueError"
+    assert "TVERLAB_FACE_BUDGET" in report["result"]["error"]
+    assert report["input_echo"] == {"subcommand": "chessboard", "m": 2, "n": 2}
+
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# tverlab modules it loaded
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from tverlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tverlab")]))
+"""
+BEYOND_COMPLEXES = {"betti": ["tverlab.homology"], "hconn": ["tverlab.homology"],
+                    "verify-theorem": ["tverlab.bounds"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chessboard", "3", "3"],
+        ["rainbow", "2,2"],
+        ["deleted-join", "--points", "3", "--copies", "2"],
+        ["deleted-product", "--chessboard", "2", "2", "--copies", "2"],
+        ["decompose", "--sizes", "2,2", "--r", "2"],
+        ["betti", "--chessboard", "3", "3"],
+        ["hconn", "--rainbow", "2,2", "--p", "3"],
+        ["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "7", "--n", "1",
+         "--sizes", "10,10,10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_loads_only_the_modules_it_calls(fresh_python, argv):
+    out, err = fresh_python("-c", LOADED_MODULES, *argv).communicate(timeout=60)
+    code, loaded = json.loads(out)
+    assert code == 0, err
+    assert loaded == sorted(["tverlab", "tverlab.cli", "tverlab.complexes",
+                             *BEYOND_COMPLEXES.get(argv[0], [])])

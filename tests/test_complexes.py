@@ -331,6 +331,18 @@ def test_budget_counts_the_distinct_faces_built(build):
         build(count - 1)
 
 
+def test_face_budget_variable_is_read_and_checked_at_the_call(monkeypatch):
+    monkeypatch.setenv("TVERLAB_FACE_BUDGET", "5")
+    with pytest.raises(FaceBudgetError):
+        chessboard(3, 3)
+    assert chessboard(3, 3, budget=33).face_count == 33
+    for text in ("abc", "-1", ""):
+        monkeypatch.setenv("TVERLAB_FACE_BUDGET", text)
+        with pytest.raises(ValueError, match="TVERLAB_FACE_BUDGET"):
+            chessboard(2, 2)
+        assert chessboard(2, 2, budget=6).face_count == 6
+
+
 def test_budget_counts_distinct_given_faces():
     faces = [(0, 1), (1, 0), (0, 1), (1,), (0,)]
     assert SimplicialComplex(2, faces, closed=True, budget=3).face_count == 3

@@ -49,6 +49,11 @@ def test_rational_codec():
     assert format_rational(Fraction(-2)) == "-2"
     with pytest.raises(ValueError):
         parse_rational(True)
+    assert parse_rational(" +3/4 ") == Fraction(3, 4)
+    # only the documented forms: no exponents, decimals, underscores or inf
+    for text in ("1e1000000", "0.5", "1_000", "inf"):
+        with pytest.raises(ValueError, match=r"\[\+-\]digits/digits"):
+            parse_rational(text)
 
 
 def test_zero_denominator_is_a_value_error():

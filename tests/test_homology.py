@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -403,9 +399,9 @@ def test_prebuilt_chain_complex_over_another_prime_is_rejected():
     assert betti_numbers(cc, 3).betti == (0, 4, 0)
 
 
-def test_import_loads_no_numpy():
-    # tverlab has no runtime dependencies; a fresh interpreter shows it
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import tverlab, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+def test_import_loads_no_numpy(fresh_python):
+    # tverlab has no runtime dependencies; a fresh interpreter that loads
+    # every public name shows it
+    code = "from tverlab import *; import sys; assert 'numpy' not in sys.modules"
+    proc = fresh_python("-c", code)
+    assert proc.wait(timeout=60) == 0, proc.stderr.read()
