@@ -128,8 +128,48 @@ class Coloring:
         raise KeyError(vertex)
 
 
-class SimplicialComplex:
-    """Abstract simplicial complex with the full face set stored.
+class _GradedCells:
+    """The store of :class:`SimplicialComplex` and :class:`ProductCellComplex`:
+    per dimension, ascending, a sorted tuple of distinct cells."""
+
+    __slots__ = ("_by_dim", "_members")
+
+    def __init__(self, graded: dict):
+        self._by_dim = dict(sorted(graded.items()))
+        self._members = None
+
+    @property
+    def dim(self) -> int:
+        return max(self._by_dim) if self._by_dim else -1
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
+
+    @property
+    def _count(self) -> int:
+        return sum(map(len, self._by_dim.values()))
+
+    def _of_dim(self, d: int) -> tuple:
+        return self._by_dim.get(d, ())
+
+    def _iter(self, dim=None):
+        """Iterate cells (sorted by dimension, then lexicographically)."""
+        if dim is not None:
+            yield from self._by_dim.get(dim, ())
+            return
+        for cells in self._by_dim.values():
+            yield from cells
+
+    def _has(self, cell) -> bool:
+        if self._members is None:
+            self._members = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
+        return tuple(cell) in self._members
+
+
+class SimplicialComplex(_GradedCells):
+    """Abstract simplicial complex with the full face set stored, graded by
+    dimension in the store it shares with :class:`ProductCellComplex`.
 
     The empty face is a face of every complex; it is kept implicit and never
     stored.  Equality compares vertex counts and face sets (labels are
@@ -140,7 +180,7 @@ class SimplicialComplex:
     breaks it raises ``ValueError``.
     """
 
-    __slots__ = ("n_vertices", "labels", "_by_dim", "_face_set", "_label_index")
+    __slots__ = ("n_vertices", "labels", "_label_index")
 
     def __init__(self, n_vertices, faces, labels=None, *, closed=False, budget=None):
         if n_vertices < 0:
@@ -182,46 +222,23 @@ class SimplicialComplex:
                     f[:t] + f[t + 1:] for f in fs for t in range(d + 1)
                 )
             graded[d] = fs
-        self._by_dim = dict(sorted(graded.items()))
-        self._face_set = None
+        super().__init__(graded)
         self._label_index = None
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
-
-    @property
-    def face_count(self) -> int:
-        return sum(map(len, self._by_dim.values()))
+    face_count = _GradedCells._count
+    faces_of_dim = _GradedCells._of_dim
+    faces = _GradedCells._iter
 
     @property
     def is_empty(self) -> bool:
         return not self._by_dim
 
-    def faces_of_dim(self, d: int) -> tuple[tuple[int, ...], ...]:
-        return self._by_dim.get(d, ())
-
-    def faces(self, dim=None):
-        """Iterate faces (sorted by dimension, then lexicographically)."""
-        if dim is not None:
-            yield from self._by_dim.get(dim, ())
-            return
-        for d in sorted(self._by_dim):
-            yield from self._by_dim[d]
-
     def has_face(self, face) -> bool:
         t = tuple(sorted(face))
-        if not t:
-            return True  # the empty face belongs to every complex
-        if self._face_set is None:
-            self._face_set = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
-        return t in self._face_set
+        # the empty face belongs to every complex
+        return not t or self._has(t)
 
     def facets(self) -> list[tuple[int, ...]]:
         """Maximal faces, sorted by dimension then lexicographically."""
@@ -297,17 +314,18 @@ def _sorted_distinct(faces: list) -> tuple:
     return tuple(itertools.compress(faces, keep))
 
 
-class ProductCellComplex:
+class ProductCellComplex(_GradedCells):
     """Cell complex whose cells are tuples of nonempty faces of a base complex.
 
-    Cells are graded by the sum of the factor dimensions.  The cell set must
-    be closed under replacing any factor by one of its nonempty codimension-1
+    Cells are graded by the sum of the factor dimensions, in the store this
+    class shares with :class:`SimplicialComplex`.  The cell set must be
+    closed under replacing any factor by one of its nonempty codimension-1
     faces, which is what the cellular boundary operator needs; this is not
     checked, and homology of a cell set that is not closed raises
     ``ValueError``.
     """
 
-    __slots__ = ("base", "n", "k", "_by_dim", "_cell_set")
+    __slots__ = ("base", "n", "k")
 
     def __init__(self, base: SimplicialComplex, n: int, k: int, cells):
         self.base = base
@@ -316,35 +334,12 @@ class ProductCellComplex:
         by_dim: dict[int, list] = {}
         for cell in cells:
             by_dim.setdefault(sum(map(len, cell)) - len(cell), []).append(cell)
-        self._by_dim = {d: _sorted_distinct(cs) for d, cs in sorted(by_dim.items())}
-        self._cell_set = None
+        super().__init__({d: _sorted_distinct(cs) for d, cs in by_dim.items()})
 
-    @property
-    def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
-
-    @property
-    def cell_count(self) -> int:
-        return sum(map(len, self._by_dim.values()))
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
-
-    def cells_of_dim(self, d: int):
-        return self._by_dim.get(d, ())
-
-    def cells(self, dim=None):
-        if dim is not None:
-            yield from self._by_dim.get(dim, ())
-            return
-        for d in sorted(self._by_dim):
-            yield from self._by_dim[d]
-
-    def has_cell(self, cell) -> bool:
-        if self._cell_set is None:
-            self._cell_set = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
-        return tuple(cell) in self._cell_set
+    cell_count = _GradedCells._count
+    cells_of_dim = _GradedCells._of_dim
+    cells = _GradedCells._iter
+    has_cell = _GradedCells._has
 
     def __repr__(self):
         return (
@@ -399,8 +394,10 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
     if budget is None:
         budget = default_face_budget()
     sizes = range(1, min(m, n) + 1)
-    _check_budget(sum(math.comb(m, s) * math.perm(n, s) for s in sizes), budget,
-                  f"chessboard({m},{n})")
+    count = 0
+    for s in sizes:  # checked as it grows: the full sum of a huge board is slow
+        count += math.comb(m, s) * math.perm(n, s)
+        _check_budget(count, budget, f"chessboard({m},{n})")
     labels = tuple((i + 1, j + 1) for i in range(m) for j in range(n))
     # rows ascend within a face, so row*n + col ascends with them
     faces = [
@@ -424,30 +421,12 @@ def rainbow_complex(sizes, *, budget=None):
         raise ValueError("sizes must be a nonempty list of positive integers")
     if budget is None:
         budget = default_face_budget()
-    total = 1
-    for s in sizes:
-        total *= s + 1
-    _check_budget(total - 1, budget, f"rainbow complex of sizes {sizes}")
-
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    labels = tuple(
-        (ci + 1, v + 1) for ci, s in enumerate(sizes) for v in range(s)
-    )
-    choice_lists = [
-        [None] + [offsets[ci] + v for v in range(s)] for ci, s in enumerate(sizes)
-    ]
-    faces = []
-    for combo in itertools.product(*choice_lists):
-        face = tuple(v for v in combo if v is not None)
-        if face:
-            faces.append(face)
-    coloring = Coloring(
-        tuple(tuple(range(offsets[ci], offsets[ci + 1])) for ci in range(len(sizes)))
-    )
-    complex_ = SimplicialComplex(offsets[-1], faces, labels, closed=True, budget=budget)
-    return complex_, coloring
+    _check_budget(math.prod(s + 1 for s in sizes) - 1, budget, f"rainbow complex of sizes {sizes}")
+    classes = [SimplicialComplex(s, ((v,) for v in range(s)), range(1, s + 1),
+                                 closed=True, budget=budget) for s in sizes]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    coloring = Coloring(tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:])))
+    return join_many(classes, budget=budget), coloring
 
 
 # -- joins -------------------------------------------------------------------
@@ -461,10 +440,7 @@ def join_many(factors, *, budget=None) -> SimplicialComplex:
         raise ValueError("need at least one factor")
     if budget is None:
         budget = default_face_budget()
-    total = 1
-    for fac in factors:
-        total *= fac.face_count + 1
-    _check_budget(total - 1, budget, "join")
+    _check_budget(math.prod(fac.face_count + 1 for fac in factors) - 1, budget, "join")
 
     offsets = [0]
     labels = []
@@ -538,6 +514,8 @@ def _tuple_stream(base, n, k, payload, include_empty, budget, what):
                 grown.append((tuple(nxt), taken + size, acc + pay))
             _check_budget(len(grown) - include_empty, budget, what)
         level = grown
+        if not level:  # no later copy can extend an empty level
+            break
     return level
 
 

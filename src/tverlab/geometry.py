@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .bounds import TheoremInstance, promised_faces, strict_inequality_note, volovikov_condition
 from .complexes import Coloring, is_int, is_int_lists, json_field
 
 
@@ -462,6 +461,8 @@ def verify_theorem_empirically(
     affine map that would contradict the theorem and almost certainly
     indicates a bug.
     """
+    from .bounds import promised_faces, strict_inequality_note, volovikov_condition
+
     if trials < 1:
         raise ValueError("need at least one trial")
     promised = promised_faces(volovikov_condition(ti), strict_inequality_note(ti))

@@ -346,7 +346,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tverlab")]))
 """
 BEYOND_COMPLEXES = {"betti": ["tverlab.homology"], "hconn": ["tverlab.homology"],
-                    "verify-theorem": ["tverlab.bounds"]}
+                    "verify-theorem": ["tverlab.bounds"], "tverberg-search": ["tverlab.geometry"]}
 
 
 @pytest.mark.parametrize(
@@ -361,12 +361,36 @@ BEYOND_COMPLEXES = {"betti": ["tverlab.homology"], "hconn": ["tverlab.homology"]
         ["hconn", "--rainbow", "2,2", "--p", "3"],
         ["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "7", "--n", "1",
          "--sizes", "10,10,10"],
+        ["tverberg-search", "--config", "{config}", "--q", "2"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_subcommand_loads_only_the_modules_it_calls(fresh_python, argv):
+def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(random_configuration(2, [3, 3, 3], seed=12).to_dict()))
+    argv = [arg.format(config=config) for arg in argv]
     out, err = fresh_python("-c", LOADED_MODULES, *argv).communicate(timeout=60)
     code, loaded = json.loads(out)
     assert code == 0, err
     assert loaded == sorted(["tverlab", "tverlab.cli", "tverlab.complexes",
                              *BEYOND_COMPLEXES.get(argv[0], [])])
+
+
+# each would run for minutes if its builder finished the work after the
+# outcome is known: the budget sum of a huge board, or every copy of a
+# deleted product once a level is empty
+@pytest.mark.parametrize(
+    "argv,code,result",
+    [
+        (["chessboard", "100000", "100000"], 1, {"error_type": "FaceBudgetError"}),
+        (["deleted-product", "--points", "3", "--copies", "100000000"], 0, {"total_cells": 0}),
+    ],
+    ids=["chessboard", "deleted-product"],
+)
+def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, result):
+    proc = fresh_python("-m", "tverlab.cli", *argv)
+    out, err = proc.communicate(timeout=10)
+    assert proc.returncode == code
+    assert err == b""
+    report = json.loads(out)
+    assert result.items() <= report["result"].items()

@@ -124,6 +124,29 @@ def test_rainbow_faces_use_at_most_one_vertex_per_color():
             assert len(set(f) & set(block)) <= 1
 
 
+def rainbow_by_product(sizes):
+    """Faces in the stored order, labels and color blocks of the rainbow
+    complex, enumerated directly: one vertex or none from each class."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    blocks = tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:]))
+    choices = itertools.product(*[(None, *block) for block in blocks])
+    faces = [tuple(v for v in combo if v is not None) for combo in choices]
+    labels = tuple((c + 1, i + 1) for c, s in enumerate(sizes) for i in range(s))
+    return sorted(filter(None, faces), key=lambda f: (len(f), f)), labels, blocks
+
+
+@pytest.mark.parametrize("sizes", [[1], [3], [2, 2], [3, 2, 2], [1, 4, 2, 3]])
+def test_rainbow_matches_a_direct_enumeration(sizes):
+    faces, labels, blocks = rainbow_by_product(sizes)
+    c, coloring = rainbow_complex(sizes)
+    assert list(c.faces()) == faces
+    assert c.labels == labels
+    assert coloring.classes == blocks
+    assert rainbow_complex(sizes, budget=len(faces))[0] == c
+    with pytest.raises(FaceBudgetError, match="rainbow complex of sizes"):
+        rainbow_complex(sizes, budget=len(faces) - 1)
+
+
 def test_rainbow_rejects_bad_sizes():
     with pytest.raises(ValueError):
         rainbow_complex([])
@@ -380,7 +403,37 @@ def test_serialization_round_trip():
 
 
 def test_empty_face_is_always_a_face():
-    assert chessboard(2, 2).has_face(())
+    c = chessboard(2, 2)
+    assert c.has_face(()) and c.has_face([]) and c.has_face(v for v in ())
+
+
+def test_has_face_sorts_any_iterable_of_vertices():
+    c = chessboard(3, 3)
+    face = c.faces_of_dim(2)[-1]
+    assert len(face) == 3
+    for given in (list(face), tuple(reversed(face)), (v for v in reversed(face))):
+        assert c.has_face(given)
+    assert not c.has_face([1, 0])  # cells (1,1) and (1,2) share a row
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: chessboard(3, 4), lambda: deleted_product(chessboard(2, 3), 3)],
+    ids=["board", "deleted_product"],
+)
+def test_graded_views_agree(build):
+    x = build()
+    if isinstance(x, SimplicialComplex):
+        count, of_dim, every, has = x.face_count, x.faces_of_dim, x.faces, x.has_face
+    else:
+        count, of_dim, every, has = x.cell_count, x.cells_of_dim, x.cells, x.has_cell
+    graded = [of_dim(d) for d in range(x.dim + 1)]
+    assert all(graded) and all(list(cs) == sorted(set(cs)) for cs in graded)
+    assert graded == [tuple(every(d)) for d in range(x.dim + 1)]
+    assert list(every()) == [cell for cs in graded for cell in cs]
+    assert x.f_vector == tuple(map(len, graded))
+    assert count == sum(x.f_vector) > 0
+    assert of_dim(x.dim + 1) == () and list(every(x.dim + 1)) == []
+    assert all(has(list(cell)) for cell in every())
 
 
 # -- symmetry action -----------------------------------------------------------

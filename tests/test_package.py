@@ -41,7 +41,7 @@ assert set(tverlab.__all__) <= set(dir(tverlab))
 assert loaded() == [], loaded()
 geometry = tverlab.geometry
 assert geometry is sys.modules["tverlab.geometry"]
-assert loaded() == ["tverlab.bounds", "tverlab.complexes", "tverlab.geometry"], loaded()
+assert loaded() == ["tverlab.complexes", "tverlab.geometry"], loaded()
 assert tverlab.hulls_intersect is geometry.hulls_intersect
 assert tverlab.betti is sys.modules["tverlab.homology"].betti
 """
