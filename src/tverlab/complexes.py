@@ -175,6 +175,8 @@ class SimplicialComplex(_GradedCells):
     stored.  Equality compares vertex counts and face sets (labels are
     presentation data and do not participate).
 
+    ``faces`` may list a face in any vertex order and more than once; a
+    vertex that is not an ``int`` in 0..n_vertices-1 raises ``ValueError``.
     ``closed=True`` is the caller's promise that ``faces`` is already closed
     under taking faces; it is not checked, and homology of a complex that
     breaks it raises ``ValueError``.
@@ -196,32 +198,24 @@ class SimplicialComplex(_GradedCells):
                 raise ValueError("exactly one label per vertex required")
         self.labels = labels
 
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for f in faces:
-            t = tuple(f)
-            if not t:
-                continue
-            if not all(map(operator.lt, t, t[1:])):
-                t = tuple(sorted(set(t)))
-            if t[0] < 0 or t[-1] >= n_vertices:
-                raise ValueError(f"face {t} uses vertices outside 0..{n_vertices - 1}")
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        # sorted and deduplicated top down, so that the closure has added all
-        # of dimension d before dimension d is read
+        # grouped by length in one sort, then taken longest first, so that the
+        # closure has added all of a length before that length is read
+        pending = {length: list(group) for length, group
+                   in itertools.groupby(sorted(map(tuple, faces), key=len), len) if length}
         graded = {}
         count = 0
-        for d in range(max(by_dim, default=-1), -1, -1):
-            if d not in by_dim:
+        for length in range(max(pending, default=0), 0, -1):
+            fs = _sorted_distinct(_canonical(pending.pop(length, []), length, n_vertices, pending))
+            if not fs:  # no face of this length, or each lost a repeated vertex
                 continue
-            fs = _sorted_distinct(by_dim.pop(d))
             count += len(fs)
             _check_budget(count, budget, "storing the given faces" if closed
                           else "computing the downward closure")
-            if not closed and d:
-                by_dim.setdefault(d - 1, []).extend(
-                    f[:t] + f[t + 1:] for f in fs for t in range(d + 1)
-                )
-            graded[d] = fs
+            if not closed and length > 1:
+                positions = _positions(fs, length)
+                for t in range(length):
+                    pending.setdefault(length - 1, []).extend(_drop_position(positions, t))
+            graded[length - 1] = fs
         super().__init__(graded)
         self._label_index = None
 
@@ -244,7 +238,8 @@ class SimplicialComplex(_GradedCells):
         """Maximal faces, sorted by dimension then lexicographically."""
         out = []
         for d, fs in self._by_dim.items():
-            covered = {g[:t] + g[t + 1:] for g in self._by_dim.get(d + 1, ()) for t in range(d + 2)}
+            above = _positions(self._of_dim(d + 1), d + 2)
+            covered = set(itertools.chain(*(_drop_position(above, t) for t in range(d + 2))))
             out.extend(f for f in fs if f not in covered)
         return out
 
@@ -305,6 +300,37 @@ def json_field(doc, key: str, valid, expected: str):
     if not valid(doc[key]):
         raise ValueError(f"key {key!r} must be {expected}, not {type(doc[key]).__name__}")
     return doc[key]
+
+
+def _canonical(faces: list, length: int, n_vertices: int, shorter: dict) -> list:
+    """``faces`` of ``length`` vertices, checked one position at a time and
+    sorted face by face only if some are not sorted and distinct; a face
+    that loses a repeated vertex moves to ``shorter[its new length]``."""
+    positions = _positions(faces, length)
+    if not all({int}.issuperset(map(type, vs)) for vs in positions):
+        for f in faces:  # subclasses of int other than bool pass
+            if not all(map(is_int, f)):
+                raise ValueError(f"face {f} has a vertex that is not an integer")
+    if not all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:])):
+        kept = []
+        for f in map(tuple, map(sorted, map(set, faces))):
+            (kept if len(f) == length else shorter.setdefault(len(f), [])).append(f)
+        faces, positions = kept, _positions(kept, length)
+    # sorted, so the first and last vertex of a face are its least and largest
+    if faces and (min(positions[0]) < 0 or max(positions[-1]) >= n_vertices):
+        bad = next(f for f in faces if f[0] < 0 or f[-1] >= n_vertices)
+        raise ValueError(f"face {bad} uses vertices outside 0..{n_vertices - 1}")
+    return faces
+
+
+def _positions(keys, length: int) -> list:
+    """The entries of the ``length``-tuples ``keys``, one list per position."""
+    return [list(map(operator.itemgetter(t), keys)) for t in range(length)]
+
+
+def _drop_position(positions: list, t: int):
+    """The tuples of ``positions`` (see ``_positions``) without entry ``t``."""
+    return zip(*positions[:t], *positions[t + 1:])
 
 
 def _sorted_distinct(faces: list) -> tuple:

@@ -13,10 +13,11 @@ dimension.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import ProductCellComplex, SimplicialComplex, is_prime
+from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
 
 
 class ModMatrix:
@@ -218,8 +219,10 @@ class HConn:
 def chain_complex(complex_: SimplicialComplex, p: int) -> ChainComplexModP:
     """Simplicial chain complex with the standard alternating-sign boundary
     in the canonical vertex order, augmented over Z_p."""
-    graded = [zip(complex_.faces_of_dim(d)) for d in range(complex_.dim + 1)]
-    return _assemble(graded, 1, complex_.n_vertices, p)
+    # a simplex is the 1-factor cell (face,), and its face is its key
+    graded = [{(d + 1,): (range(len(fs)), fs)}
+              for d, fs in enumerate(map(complex_.faces_of_dim, range(complex_.dim + 1)))]
+    return _assemble(graded, p)
 
 
 def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexModP:
@@ -230,58 +233,69 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
     dimension of the preceding factors; summands whose factor would become
     empty are dropped, so 0-dimensional factors contribute nothing.
     """
-    graded = [product.cells_of_dim(d) for d in range(product.dim + 1)]
-    return _assemble(graded, product.n, product.base.n_vertices, p)
+    graded: list[dict] = [{} for _ in range(product.dim + 1)]
+    for d, groups in enumerate(graded):
+        for row, cell in enumerate(product.cells_of_dim(d)):
+            rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
+            rows.append(row)
+            keys.append(tuple(itertools.chain.from_iterable(cell)))
+    return _assemble(graded, p)
 
 
-def _assemble(graded, n_factors: int, n_vertices: int, p: int) -> ChainComplexModP:
-    """Augmented chain complex over Z_p of cells given degree by degree; a
-    degree's cells are iterated once, in the order of their rows.
+def _assemble(graded, p: int) -> ChainComplexModP:
+    """Augmented chain complex over Z_p of cells given degree by degree, a
+    degree as ``{shape: (rows, keys)}`` with each shape's rows ascending.
 
-    A cell is a tuple of factors, each a sorted tuple of base vertices; a
-    simplex is the 1-factor cell ``(face,)``.  A cell's key is its vertex
-    bit mask, vertex v of factor i being bit ``i*n_vertices + v``, so the
-    face that drops that vertex has key ``key ^ bit``.  Dropping the vertex
-    at position t of factor i has sign (-1)**t times (-1) to the dimension
-    of the factors before it, that is (-1)**(pos - i) with pos its position
-    in the concatenated factors.  A summand whose factor would become empty
-    is dropped.
+    A cell is a tuple of factors, each a sorted tuple of base vertices, and
+    a simplex the 1-factor cell ``(face,)``.  Its shape is the tuple of its
+    factor lengths and its key its factors concatenated, distinct among the
+    cells of one shape.  Dropping position pos, in factor i, has sign
+    (-1)**(pos - i): (-1) to the position in the factor times (-1) to the
+    dimension of the factors before it.  A summand whose factor would
+    become empty is dropped.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    alternating = [1, p - 1] * (n_vertices // 2 + 1)
-    signs = (alternating, alternating[1:])
-    bits = [[1 << (i * n_vertices + v) for v in range(n_vertices)] for i in range(n_factors)]
-    dims: list[int] = []
-    boundaries: list[ModMatrix] = []
-    lower: dict[int, int] = {}
-    for cells in graded:
-        index: dict[int, int] = {}
-        cols = []
+    dims, boundaries = [], []
+    lower: dict[tuple, dict] = {}  # per shape one degree down, the row of each key
+    for groups in graded:
+        index, parts = {}, []
         try:
-            for cell in cells:
-                key = 0
-                terms = []  # (bit, sign) of each vertex that may be dropped
-                parity = 0  # of the dimension of the factors so far
-                for b, f in zip(bits, cell):
-                    fbits = list(map(b.__getitem__, f))
-                    key += sum(fbits)
-                    if len(f) > 1:
-                        terms += zip(fbits, signs[parity])
-                    parity ^= ~len(f) & 1
-                index[key] = len(index)
-                # dims is empty in degree 0, whose boundary is the augmentation
-                cols.append({lower[key ^ bit]: s for bit, s in terms} if dims else {0: 1})
+            for shape, (rows, keys) in groups.items():
+                index[shape] = dict(zip(keys, rows))
+                # the boundary of degree 0 is the augmentation
+                parts.append(_columns(shape, keys, lower, p) if dims else [{0: 1} for _ in rows])
         except KeyError:
             # a face of the cell is not among the cells one degree down
             raise ValueError("complex is not closed under taking faces") from None
-        # the columns are built reduced mod p, so set_column is not needed
+        if len(parts) != 1:  # the rows of one shape ascend, but not of several
+            order = itertools.chain.from_iterable(rows for rows, _ in groups.values())
+            parts = [[c for _, c in sorted(zip(order, itertools.chain(*parts)), key=lambda rc: rc[0])]]
+        cols = parts[0]
         mat = ModMatrix(dims[-1] if dims else 1, 0, p)
         mat.ncols, mat.cols = len(cols), cols
         dims.append(len(cols))
         boundaries.append(mat)
         lower = index
     return ChainComplexModP(p, dims, boundaries)
+
+
+def _columns(shape: tuple, keys: list, lower: dict, p: int) -> list:
+    """The columns of one shape's cells (see ``_assemble``), a vertex position
+    at a time: one pass over the keys finds the face that drops it in each."""
+    positions = _positions(keys, sum(shape))
+    faces, signs, pos = [], [], 0
+    for i, length in enumerate(shape):
+        if length > 1:
+            row_of = lower[shape[:i] + (length - 1,) + shape[i + 1:]].__getitem__
+            for t in range(pos, pos + length):
+                faces.append(map(row_of, _drop_position(positions, t)))
+                signs.append(p - 1 if (t - i) & 1 else 1)
+        pos += length
+    faces = zip(*faces)  # per cell, the row of each of its faces
+    # the columns are built reduced mod p, so set_column is not needed
+    return list(map(dict.fromkeys, faces, itertools.repeat(1)) if p == 2
+                else map(dict, map(zip, faces, itertools.repeat(signs))))
 
 
 def _as_chain_complex(obj, p: int) -> ChainComplexModP:

@@ -394,3 +394,22 @@ def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, resul
     assert err == b""
     report = json.loads(out)
     assert result.items() <= report["result"].items()
+
+
+# the child's own peak RSS, in KiB on Linux, written to stderr after main
+PEAK_RSS = """
+import resource, sys
+from tverlab.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_betti_of_many_points_stays_small_in_memory(fresh_python):
+    # with a cell key as wide as the vertex count this run peaked at 239 MB
+    proc = fresh_python("-c", PEAK_RSS, "betti", "--points", "40000")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out)["result"]["betti"] == [39999]
+    assert int(err) < 120 * 1024

@@ -397,6 +397,66 @@ def test_face_order_and_repeats_do_not_change_the_complex(closed):
         SimplicialComplex(3, [(-1, 2)], closed=closed)
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_sorted_and_unsorted_faces_of_one_length(closed):
+    c = SimplicialComplex(4, [(0, 1), (1, 0), (0, 2), (3, 1), (0,), (1,), (2,), (3,)],
+                          closed=closed)
+    assert list(c.faces()) == [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_repeated_vertex_moves_a_face_to_a_shorter_length(closed):
+    # (1, 1, 2) becomes the edge (1, 2) and (2, 2, 2) the vertex (2,), while
+    # (0, 1, 2), of the same length, stays
+    given = [(0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 2), (0, 1), (0, 2), (0,), (1,)]
+    c = SimplicialComplex(3, given, closed=closed)
+    assert c == full_simplex(2)
+    # every face of a length shrinks
+    c = SimplicialComplex(2, [(1, 1, 1), (0, 0)], closed=closed)
+    assert list(c.faces()) == [(0,), (1,)]
+    assert (c.dim, c.f_vector) == (0, (2,))
+    assert c == discrete_points(2)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize(
+    "face,shown",
+    [((2, -1, 0), (-1, 0, 2)), ((3, 0, 1), (0, 1, 3)), ((2, 2, 5), (2, 5))],
+)
+def test_out_of_range_vertex_in_an_unsorted_face(closed, face, shown):
+    faces = [(0, 1, 2), face]
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(3, faces, closed=closed)
+    assert str(info.value) == f"face {shown} uses vertices outside 0..2"
+
+
+def test_faces_may_be_lists_or_generators_and_empty_faces_are_skipped():
+    given = [[0, 1], (v for v in (2, 1)), (), [], iter(()), [2]]
+    c = SimplicialComplex(3, given)
+    assert c == SimplicialComplex(3, [(0, 1), (1, 2)])
+    assert c.f_vector == (3, 2)
+    assert SimplicialComplex(2, [(), []]).is_empty
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("vertex", [1.5, "1", None, True])
+def test_non_integer_vertex_is_rejected(closed, vertex):
+    # a bool is rejected too, as by is_int
+    with pytest.raises(ValueError, match="not an integer") as info:
+        SimplicialComplex(3, [(0, 1), (2, vertex)], closed=closed)
+    assert str((2, vertex)) in str(info.value)
+    with pytest.raises(ValueError, match="not an integer"):
+        SimplicialComplex(3, [(vertex,)], closed=closed)
+
+
+def test_int_subclass_vertices_are_accepted():
+    class Vertex(int):
+        pass
+
+    c = SimplicialComplex(3, [(Vertex(2), Vertex(0))])
+    assert list(c.faces()) == [(0,), (2,), (0, 2)]
+
+
 def test_serialization_round_trip():
     for c in [chessboard(3, 3), deleted_join(discrete_points(3), 2, 2)]:
         assert SimplicialComplex.from_json(c.to_json()) == c

@@ -23,7 +23,13 @@ from tverlab.homology import (
     hconn,
 )
 
-from oracles import oracle_betti, oracle_cellular_betti, oracle_rank_mod_p
+from oracles import (
+    oracle_betti,
+    oracle_boundary_columns,
+    oracle_cellular_betti,
+    oracle_rank_mod_p,
+    stored_columns,
+)
 
 
 SIMPLICIAL_SUITE = [
@@ -48,6 +54,27 @@ CELLULAR_SUITE = [
 
 
 # -- chain complex structure -----------------------------------------------------
+
+
+# several cell shapes, the lengths of the factors, share one degree: in
+# degree 2, ((0, 1, 2), (3,), (4,)) and ((0, 1), (2, 3), (4,)), among others
+MIXED_SHAPES = deleted_product(full_simplex(4), 3, 2)
+
+
+def test_mixed_shapes_product_has_several_shapes_in_a_degree():
+    shapes = {tuple(map(len, cell)) for cell in MIXED_SHAPES.cells_of_dim(2)}
+    assert len(shapes) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("c", SIMPLICIAL_SUITE + CELLULAR_SUITE + [MIXED_SHAPES])
+def test_boundary_columns_match_the_per_cell_oracle(c, p):
+    if isinstance(c, ProductCellComplex):
+        cc = cellular_chain_complex(c, p)
+    else:
+        cc = chain_complex(c, p)
+    assert stored_columns(cc) == oracle_boundary_columns(c, p)
+    assert [mat.nrows for mat in cc.boundaries] == [1, *cc.dims[:-1]]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -78,18 +105,7 @@ def test_cellular_boundary_follows_the_graded_leibniz_rule():
     # numbers, so the documented one is pinned entry by entry, over Z_3
     # where -1 and 1 differ
     dp = deleted_product(full_simplex(3), 3, 2)
-    cc = cellular_chain_complex(dp, 3)
-    for d in range(1, dp.dim + 1):
-        rows = {c: i for i, c in enumerate(dp.cells_of_dim(d - 1))}
-        for j, cell in enumerate(dp.cells_of_dim(d)):
-            expected = {}
-            before = 0  # the dimension of the factors before factor i
-            for i, f in enumerate(cell):
-                for t in range(len(f) if len(f) > 1 else 0):
-                    face = cell[:i] + (f[:t] + f[t + 1:],) + cell[i + 1:]
-                    expected[rows[face]] = (-1) ** (before + t) % 3
-                before += len(f) - 1
-            assert cc.boundaries[d].cols[j] == expected
+    assert stored_columns(cellular_chain_complex(dp, 3)) == oracle_boundary_columns(dp, 3)
     # d((0,1) x (2,3) x (4,)) = (1)x(23)x(4) - (0)x(23)x(4) - (01)x(3)x(4) + (01)x(2)x(4)
     dp = deleted_product(full_simplex(4), 3, 2)
     cc = cellular_chain_complex(dp, 3)

@@ -13,7 +13,14 @@ from tverlab.complexes import Coloring, SimplicialComplex, deleted_product
 from tverlab.geometry import ColoredConfiguration, hulls_intersect
 from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain_complex
 
-from oracles import check_certificate, oracle_betti, oracle_cellular_betti, oracle_hulls_meet_2d
+from oracles import (
+    check_certificate,
+    oracle_betti,
+    oracle_boundary_columns,
+    oracle_cellular_betti,
+    oracle_hulls_meet_2d,
+    stored_columns,
+)
 
 
 @st.composite
@@ -69,6 +76,18 @@ def test_deleted_product_betti_agrees_with_oracle_and_relabelling(base, n, k, p,
     assert reduced_euler_holds(product.f_vector, profile)
     moved = deleted_product(relabelled(base, seed), n, k)
     assert betti_numbers(moved, p).betti == profile
+
+
+@given(complexes(), st.sampled_from([2, 3, 5]))
+def test_simplicial_boundary_columns_agree_with_oracle(c, p):
+    assert stored_columns(chain_complex(c, p)) == oracle_boundary_columns(c, p)
+
+
+@given(complexes(max_vertices=4, max_facets=3), st.integers(2, 3), st.integers(2, 3),
+       st.sampled_from([2, 3, 5]))
+def test_cellular_boundary_columns_agree_with_oracle(base, n, k, p):
+    product = deleted_product(base, n, k)
+    assert stored_columns(cellular_chain_complex(product, p)) == oracle_boundary_columns(product, p)
 
 
 # small coordinates, some halves: coincident points and collinear triples
