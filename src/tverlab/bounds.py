@@ -90,13 +90,10 @@ class TheoremInstance:
         }
 
 
-def size_thresholds(r: int, m_large: int, count: int) -> list[int]:
-    """Required class sizes: 2r-1 for the first m_large classes, 2r-4 after."""
-    return [2 * r - 1] * m_large + [2 * r - 4] * (count - m_large)
-
-
 def threshold_violations(sizes, r: int, m_large: int) -> list[dict]:
-    required = size_thresholds(r, m_large, len(sizes))
+    """Classes below their required size: 2r-1 for the first m_large
+    classes, 2r-4 after."""
+    required = [2 * r - 1] * m_large + [2 * r - 4] * (len(sizes) - m_large)
     return [
         {"index": i, "size": s, "required": req}
         for i, (s, req) in enumerate(zip(sizes, required))
@@ -257,90 +254,61 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
     homologically at desk scale but is not verified at full scale).
     """
     r, q, d, k, m = ti.r, ti.q, ti.d, ti.k, ti.m_large
-    conditions = []
-
     violations = threshold_violations(ti.sizes, r, m)
-    conditions.append(
+    needed = (d - k) * (r - 1)
+    required = (d - 1) * (r - 1) + q
+    try:
+        achieved = index_lower_bound_deleted_product(ti).lower
+    except (SizeThresholdError, InapplicableError):
+        achieved = None
+
+    conditions = (
         Condition(
             "size-thresholds",
             not violations,
             "all color classes meet their size thresholds"
             if not violations
             else "; ".join(map(SizeThresholdError.describe, violations)),
-        )
-    )
-
-    needed = (d - k) * (r - 1)
-    conditions.append(
+        ),
         Condition(
             "large-class-count",
             m >= needed,
             f"m_large = {m} vs (d-k)(r-1) = {needed}",
-        )
-    )
-
-    y_ok = 2 <= q <= r
-    conditions.append(
+        ),
         Condition(
             "coincidence-count-in-range",
-            y_ok,
+            2 <= q <= r,
             f"y = q = {q} must satisfy 2 <= y <= r = {r}",
-        )
-    )
-
-    if q != 3:
-        y3 = Condition("three-coincidences-exclusion", True, f"y = {q} != 3")
-    elif r in (3, 4, 5):
-        y3 = Condition(
+        ),
+        # y = q = 3 only at r = 4, which lies in the covered range 3, 4, 5
+        Condition(
             "three-coincidences-exclusion",
             True,
-            f"y = 3 is admissible for r = {r} (covered for r in 3, 4, 5)",
-        )
-    else:
-        y3 = Condition(
-            "three-coincidences-exclusion",
-            False,
-            f"y = 3 with r = {r} falls outside the covered range",
-        )
-    conditions.append(y3)
-
-    required = (d - 1) * (r - 1) + q
-    try:
-        achieved = index_lower_bound_deleted_product(ti).lower
-    except (SizeThresholdError, InapplicableError):
-        achieved = None
-    if achieved is not None:
-        relation = "=" if achieved == required else (">" if achieved > required else "<")
-        conditions.append(
-            Condition(
-                "index-inequality",
-                achieved >= required,
-                f"achieved product index bound {achieved} {relation} required "
-                f"(target_dim-1)(r-1) + y = {required} "
-                f"(target_dim = {d}, m_large = {m})",
-            )
-        )
-    else:
-        conditions.append(
-            Condition(
-                "index-inequality",
-                False,
-                "no product index bound is claimed while earlier conditions fail",
-            )
-        )
-
-    conditions.append(
+            f"y = {q} != 3" if q != 3
+            else f"y = 3 is admissible for r = {r} (covered for r in 3, 4, 5)",
+        ),
+        # q = r - 1, so a claimed product bound d(r-1) is exactly the required
+        # (d-1)(r-1) + q
+        Condition(
+            "index-inequality",
+            achieved is not None,
+            f"achieved product index bound {achieved} = required "
+            f"(target_dim-1)(r-1) + y = {required} "
+            f"(target_dim = {d}, m_large = {m})"
+            if achieved is not None
+            else "no product index bound is claimed while earlier conditions fail",
+        ),
         Condition(
             "configuration-space-connected",
             True,
             "connectedness of the deleted product is assumed; spot-check "
             "reduced Betti number 0 on small instances",
             assumed=True,
-        )
+        ),
     )
 
     applicable = all(c.passed for c in conditions)
-    return Verdict(applicable, q, required, achieved, tuple(conditions))
+    return Verdict(applicable, q, required, achieved, conditions)
 
 
 @dataclass(frozen=True)

@@ -503,28 +503,38 @@ def _tuple_stream(base, n, k, payload, include_empty, budget, what):
     """n-tuples of faces of ``base`` (the empty face allowed when
     ``include_empty``) in which every vertex appears in fewer than k faces,
     that is, every k of the faces intersect emptily.  Each tuple is returned
-    as the concatenation of ``payload(copy, face)`` over its copies.
+    as the concatenation of ``payload(copy, face)`` over its copies; the
+    tuple of empty faces is left out.
 
-    Tuples grow one copy at a time.  A partial tuple is kept only if it
-    extends to a full one: with the empty face that is always so, and
-    without it the vertex slots still free, k - 1 per vertex less those
-    used, must cover one vertex per copy still to come.  So no level holds
-    more tuples than the result, and the budget is checked as each grows.
+    Tuples grow one copy at a time from a pool of partial tuples.  Without
+    the empty face a partial tuple is kept only if it extends to a full one:
+    the vertex slots still free, k - 1 per vertex less those used, must
+    cover one vertex per copy still to come.  With it a tuple is a face once
+    made, at its last nonempty copy, and stays in the pool while it extends;
+    no slot is reserved, so one that fails to extend never will, and the
+    work stays in proportion to the faces made.  The budget is checked as
+    each copy grows, against a lower bound on the count: the level itself
+    without the empty face, and with it the faces made so far plus the
+    copies left times those made at this copy, as the faces made per copy
+    never decrease.
     """
-    options = [((), 0, 0)] if include_empty else []
-    options += [(f, sum(1 << v for v in f), len(f)) for f in base.faces()]
+    options = [(f, sum(1 << v for v in f), len(f)) for f in base.faces()]
     slots = (k - 1) * len(base.faces_of_dim(0))
     # a state: which vertices lie in more than j faces (j = 0..k-2), how many
     # vertex slots are used, and the payload so far
-    level = [((0,) * (k - 1), 0, ())]
+    pool = [((0,) * (k - 1), 0, ())]
+    made = []  # with the empty face, the faces of the copies done so far
     for copy in range(n):
         # options are sorted by size, so the first too large ends the scan
         room = slots if include_empty else slots - (n - copy - 1)
+        ahead = n - copy if include_empty else 1
         opts = [(mask, size, payload(copy, f)) for f, mask, size in options]
         last = copy == n - 1
-        grown = []
-        for used, taken, acc in level:
+        grown, kept = [], []
+        for state in pool:
+            used, taken, acc = state
             full = used[-1]
+            before = len(grown)
             for mask, size, pay in opts:
                 if taken + size > room:
                     break
@@ -538,11 +548,18 @@ def _tuple_stream(base, n, k, payload, include_empty, budget, what):
                     nxt.append(u | carry)
                     carry &= u
                 grown.append((tuple(nxt), taken + size, acc + pay))
-            _check_budget(len(grown) - include_empty, budget, what)
-        level = grown
-        if not level:  # no later copy can extend an empty level
+            if len(grown) > before:
+                kept.append(state)
+            _check_budget(len(made) + ahead * len(grown), budget, what)
+        if last:
+            return made + grown
+        if include_empty:
+            made += [acc for _, _, acc in grown]
+            grown += kept
+        pool = grown
+        if not pool:  # no later copy can extend an empty pool
             break
-    return level
+    return made
 
 
 def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> SimplicialComplex:
@@ -558,12 +575,12 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
     if budget is None:
         budget = default_face_budget()
     nb = base.n_vertices
-    labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
     # copy c of vertex v is c*nb + v, so the concatenated parts stay sorted
     faces = _tuple_stream(
         base, n, k, lambda c, f: tuple(c * nb + v for v in f),
         True, budget, f"{n}-fold deleted join",
     )
+    labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
     return SimplicialComplex(n * nb, faces, labels, closed=True, budget=budget)
 
 

@@ -143,7 +143,7 @@ class ChainComplexModP:
     ``boundaries[d+1]`` is the lowest cell of a boundary, hence of a cycle,
     so its column of ``boundaries[d]`` lies in the span of the earlier ones
     and is skipped.  This assumes ``boundaries[d] @ boundaries[d+1] == 0``,
-    which both assemblers guarantee and ``verify()`` checks.
+    which the assembler guarantees and ``verify()`` checks.
     """
 
     p: int

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tverlab.bounds import (
@@ -12,7 +14,7 @@ from tverlab.bounds import (
     threshold_violations,
     volovikov_condition,
 )
-from tverlab.complexes import deleted_join, deleted_product, rainbow_complex
+from tverlab.complexes import chessboard, deleted_join, deleted_product, rainbow_complex
 from tverlab.homology import betti_numbers, hconn
 
 
@@ -169,6 +171,94 @@ def test_connectedness_is_recorded_as_assumption():
     assumed = [c for c in v.conditions if c.assumed]
     assert len(assumed) == 1
     assert assumed[0].name == "configuration-space-connected"
+
+
+CONDITION_NAMES = [
+    "size-thresholds",
+    "large-class-count",
+    "coincidence-count-in-range",
+    "three-coincidences-exclusion",
+    "index-inequality",
+    "configuration-space-connected",
+]
+
+
+def bundle_grid():
+    """Bundles with d <= 4, r in {2, 3, 4, 5, 7, 9}, every m_large, and class
+    sizes at and one below both thresholds."""
+    for d, p, n in itertools.product(range(1, 5), (2, 3, 5, 7), (1, 2)):
+        r = p ** n
+        if r > 9:
+            continue
+        around = sorted({max(s, 1) for s in (2 * r - 5, 2 * r - 4, 2 * r - 2, 2 * r - 1)})
+        for k in range(1, d + 1):
+            for m in range(k + 2):
+                # every size on the first two classes, the rest held at 2r-1
+                for head in itertools.product(around, repeat=2):
+                    yield TheoremInstance(d, k, m, p, n, (*head, *[2 * r - 1] * (k - 1)))
+
+
+def test_verdict_states_the_theorem_on_a_grid():
+    # with q = r - 1 the verdict comes down to the paper's hypotheses, and
+    # a claimed product bound d(r-1) is exactly the index the argument needs
+    count = 0
+    for ti in bundle_grid():
+        r, d, k, m = ti.r, ti.d, ti.k, ti.m_large
+        v = volovikov_condition(ti)
+        thresholds_met = all(
+            s >= (2 * r - 1 if i < m else 2 * r - 4) for i, s in enumerate(ti.sizes)
+        )
+        claimed = thresholds_met and m >= (d - k) * (r - 1)
+        assert v.applicable == (claimed and r >= 3)
+        assert v.required_index == d * (r - 1)
+        assert v.achieved_lower_bound == (v.required_index if claimed else None)
+        assert [c.name for c in v.conditions] == CONDITION_NAMES
+        count += 1
+    assert count > 2000
+
+
+# -- the board thresholds, against exact homology -----------------------------------
+
+
+def board_threshold(r, m_large):
+    """Smallest board width the bound accepts for one class: 2r-1 for a large
+    class, 2r-4 (at least 1) for a small one."""
+    return max(2 * r - 1 if m_large else 2 * r - 4, 1)
+
+
+# r = 5 is read over Z_2 only: its 9-column board over an odd prime takes
+# seconds to reduce
+@pytest.mark.parametrize(
+    "r,primes", [(2, (2,)), (3, (2, 3)), (4, (2,)), (5, (2,))], ids=["r2", "r3", "r4", "r5"]
+)
+@pytest.mark.parametrize("m_large", [1, 0], ids=["large", "small"])
+def test_board_homology_vanishes_through_the_claimed_degree(r, primes, m_large):
+    """The r x s chessboard at a size threshold has no reduced homology through
+    the degree ``conn_lower_bound_join`` claims it connected to.  This is a
+    necessary condition only: homology cannot prove connectivity."""
+    s = board_threshold(r, m_large)
+    degree = conn_lower_bound_join([s], r, m_large)
+    board = chessboard(r, s)
+    assert not board.is_empty  # (-1)-connected
+    for p in primes:
+        assert not any(betti_numbers(board, p).betti[: degree + 1]), (r, s, p)
+
+
+# one below each threshold; 5x5 has only 3-torsion in degree 2, so Z_2 sees
+# no homology there
+@pytest.mark.parametrize(
+    "r,m_large,p",
+    [(2, 1, 2), (3, 1, 2), (3, 0, 2), (4, 1, 2), (4, 0, 2), (5, 1, 2), (5, 0, 3)],
+)
+def test_board_thresholds_are_sharp(r, m_large, p):
+    """One column below a threshold, the board has homology in the degree
+    claimed at the threshold, so it is not that connected, and the bound
+    refuses the class."""
+    s = board_threshold(r, m_large) - 1
+    degree = conn_lower_bound_join([s + 1], r, m_large)
+    with pytest.raises(SizeThresholdError):
+        conn_lower_bound_join([s], r, m_large)
+    assert betti_numbers(chessboard(r, s), p).betti[degree] > 0
 
 
 # -- the strict-inequality upgrade -----------------------------------------------------

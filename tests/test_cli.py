@@ -377,15 +377,23 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
 
 
 # each would run for minutes if its builder finished the work after the
-# outcome is known: the budget sum of a huge board, or every copy of a
-# deleted product once a level is empty
+# outcome is known: the budget sum of a huge board, every copy of a deleted
+# product once a level is empty, a deleted join whose face count is already
+# known to pass the budget (or its labels built first), or a deleted join
+# that rebuilt every partial tuple at every copy
 @pytest.mark.parametrize(
     "argv,code,result",
     [
         (["chessboard", "100000", "100000"], 1, {"error_type": "FaceBudgetError"}),
         (["deleted-product", "--points", "3", "--copies", "100000000"], 0, {"total_cells": 0}),
+        (["deleted-join", "--points", "3", "--copies", "100000"], 1,
+         {"error_type": "FaceBudgetError"}),
+        (["deleted-join", "--points", "3", "--copies", "100000000"], 1,
+         {"error_type": "FaceBudgetError"}),
+        (["deleted-join", "--points", "1", "--copies", "20000"], 0, {"face_count": 20000}),
     ],
-    ids=["chessboard", "deleted-product"],
+    ids=["chessboard", "deleted-product", "deleted-join", "deleted-join-labels",
+         "deleted-join-one-point"],
 )
 def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, result):
     proc = fresh_python("-m", "tverlab.cli", *argv)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -198,6 +199,43 @@ def test_deleted_join_faces_are_tagged_unions_of_base_faces():
         # pairwise disjoint parts
         all_base = [v % base.n_vertices for v in f]
         assert len(all_base) == len(set(all_base))
+
+
+def deleted_join_by_product(base, n, k):
+    """Faces of the n-fold k-wise deleted join, enumerated directly: one face
+    of ``base`` or none per copy, each vertex in fewer than k of them."""
+    nb = base.n_vertices
+    faces = [
+        tuple(c * nb + v for c, f in enumerate(combo) for v in f)
+        for combo in itertools.product([(), *base.faces()], repeat=n)
+        if max(Counter(itertools.chain(*combo)).values(), default=0) < k
+    ]
+    return sorted(filter(None, faces), key=lambda f: (len(f), f))
+
+
+@pytest.mark.parametrize(
+    "base,n,k",
+    [
+        (discrete_points(1), 5, 2),
+        (discrete_points(2), 6, 2),
+        (discrete_points(3), 4, 3),
+        (boundary_simplex(2), 4, 2),
+        (full_simplex(2), 3, 2),
+        (rainbow_complex([2, 2])[0], 3, 3),
+    ],
+    ids=["1pt", "2pts", "3pts", "circle", "triangle", "rainbow"],
+)
+def test_deleted_join_matches_a_direct_enumeration(base, n, k):
+    faces = deleted_join_by_product(base, n, k)
+    dj = deleted_join(base, n, k)
+    assert list(dj.faces()) == faces
+    sizes = Counter(map(len, faces))
+    assert dj.f_vector == tuple(sizes[d + 1] for d in range(max(sizes)))
+    # the budget is checked against a lower bound on the face count: it
+    # admits exactly the count and fires one below it
+    assert deleted_join(base, n, k, budget=len(faces)) == dj
+    with pytest.raises(FaceBudgetError, match=f"{n}-fold deleted join"):
+        deleted_join(base, n, k, budget=len(faces) - 1)
 
 
 def test_deleted_join_rejects_small_parameters():
