@@ -11,6 +11,8 @@ threshold).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .complexes import is_prime
@@ -64,6 +66,11 @@ class TheoremInstance:
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("prime exponent n must be at least 1")
+        # r = p**n has floor(n*log10(p)) + 1 digits; it is not computed here,
+        # and one past the limit for int-to-text conversion (3.10.7+) is rejected
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and self.n * math.log10(self.p) >= limit:
+            raise ValueError(f"r = {self.p}**{self.n} has more than {limit} digits")
         if len(self.sizes) != self.k + 1:
             raise ValueError(f"need exactly k+1 = {self.k + 1} color sizes")
         if any(s < 1 for s in self.sizes):

@@ -121,12 +121,6 @@ class Coloring:
     def n_colors(self) -> int:
         return len(self.classes)
 
-    def color_of(self, vertex: int) -> int:
-        for ci, block in enumerate(self.classes):
-            if vertex in block:
-                return ci
-        raise KeyError(vertex)
-
 
 class _GradedCells:
     """The store of :class:`SimplicialComplex` and :class:`ProductCellComplex`:
@@ -499,42 +493,32 @@ def join(a: SimplicialComplex, b: SimplicialComplex, *, budget=None) -> Simplici
 # -- deleted joins and deleted products --------------------------------------
 
 
-def _tuple_stream(base, n, k, payload, include_empty, budget, what):
-    """n-tuples of faces of ``base`` (the empty face allowed when
-    ``include_empty``) in which every vertex appears in fewer than k faces,
-    that is, every k of the faces intersect emptily.  Each tuple is returned
-    as the concatenation of ``payload(copy, face)`` over its copies; the
-    tuple of empty faces is left out.
+def _tuple_stream(base, n, k, payload, check):
+    """n-tuples of nonempty faces of ``base`` in which every vertex appears
+    in fewer than k faces, that is, every k of the faces intersect emptily.
+    Each tuple is returned as the concatenation of ``payload(copy, face)``
+    over its copies.
 
-    Tuples grow one copy at a time from a pool of partial tuples.  Without
-    the empty face a partial tuple is kept only if it extends to a full one:
-    the vertex slots still free, k - 1 per vertex less those used, must
-    cover one vertex per copy still to come.  With it a tuple is a face once
-    made, at its last nonempty copy, and stays in the pool while it extends;
-    no slot is reserved, so one that fails to extend never will, and the
-    work stays in proportion to the faces made.  The budget is checked as
-    each copy grows, against a lower bound on the count: the level itself
-    without the empty face, and with it the faces made so far plus the
-    copies left times those made at this copy, as the faces made per copy
-    never decrease.
+    Tuples grow one copy at a time from a pool of partial tuples, and a
+    partial tuple is kept only if it extends to a full one: the vertex slots
+    still free, k - 1 per vertex less those used, must cover one vertex per
+    copy still to come.  So no level is larger than the last, and
+    ``check(size)`` is called with the size of each level as it grows.
     """
+    k = min(k, n + 1)  # n faces cannot put a vertex in more than n of them
     options = [(f, sum(1 << v for v in f), len(f)) for f in base.faces()]
     slots = (k - 1) * len(base.faces_of_dim(0))
     # a state: which vertices lie in more than j faces (j = 0..k-2), how many
     # vertex slots are used, and the payload so far
     pool = [((0,) * (k - 1), 0, ())]
-    made = []  # with the empty face, the faces of the copies done so far
     for copy in range(n):
         # options are sorted by size, so the first too large ends the scan
-        room = slots if include_empty else slots - (n - copy - 1)
-        ahead = n - copy if include_empty else 1
+        room = slots - (n - copy - 1)
         opts = [(mask, size, payload(copy, f)) for f, mask, size in options]
         last = copy == n - 1
-        grown, kept = [], []
-        for state in pool:
-            used, taken, acc = state
+        grown = []
+        for used, taken, acc in pool:
             full = used[-1]
-            before = len(grown)
             for mask, size, pay in opts:
                 if taken + size > room:
                     break
@@ -548,18 +532,11 @@ def _tuple_stream(base, n, k, payload, include_empty, budget, what):
                     nxt.append(u | carry)
                     carry &= u
                 grown.append((tuple(nxt), taken + size, acc + pay))
-            if len(grown) > before:
-                kept.append(state)
-            _check_budget(len(made) + ahead * len(grown), budget, what)
-        if last:
-            return made + grown
-        if include_empty:
-            made += [acc for _, _, acc in grown]
-            grown += kept
+            check(len(grown))
         pool = grown
         if not pool:  # no later copy can extend an empty pool
             break
-    return made
+    return pool
 
 
 def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> SimplicialComplex:
@@ -575,11 +552,25 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
     if budget is None:
         budget = default_face_budget()
     nb = base.n_vertices
-    # copy c of vertex v is c*nb + v, so the concatenated parts stay sorted
-    faces = _tuple_stream(
-        base, n, k, lambda c, f: tuple(c * nb + v for v in f),
-        True, budget, f"{n}-fold deleted join",
-    )
+    what = f"{n}-fold deleted join"
+    # a face whose nonempty copies are t of the n is a t-fold deleted
+    # product moved onto those copies, so the count is known before any face
+    # is made; copy c of vertex v is c*nb + v, so the parts stay sorted
+    levels, count = [], 0
+    for t in range(1, n + 1):
+        ways = math.comb(n, t)
+        level = _tuple_stream(base, t, k, lambda c, f: tuple(c * nb + v for v in f),
+                              lambda size: _check_budget(count + ways * size, budget, what))
+        if not level:  # dropping its last face would put a longer tuple here
+            break
+        count += ways * len(level)
+        levels.append(level)
+    faces = []
+    for t, level in enumerate(levels, 1):
+        faces += level  # the first set of copies, 0..t-1, is the stream's own
+        for copies in itertools.islice(itertools.combinations(range(n), t), 1, None):
+            remap = [c * nb + v for c in copies for v in range(nb)]
+            faces += [tuple(map(remap.__getitem__, f)) for f in level]
     labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
     return SimplicialComplex(n * nb, faces, labels, closed=True, budget=budget)
 
@@ -593,9 +584,9 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
         raise ValueError("wiseness k must be at least 2")
     if budget is None:
         budget = default_face_budget()
-    cells = _tuple_stream(
-        base, n, k, lambda c, f: (f,), False, budget, f"{n}-fold deleted product"
-    )
+    what = f"{n}-fold deleted product"
+    cells = _tuple_stream(base, n, k, lambda c, f: (f,),
+                          lambda size: _check_budget(size, budget, what))
     return ProductCellComplex(base, n, k, cells)
 
 

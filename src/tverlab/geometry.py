@@ -449,7 +449,6 @@ def verify_theorem_empirically(
     q=None,
     lp_budget=None,
     coordinate_bound: int = 1000,
-    max_dim=None,
 ) -> ExperimentReport:
     """Run seeded trials: generate a configuration with the bundle's class
     sizes, search for q pairwise disjoint rainbow faces with intersecting
@@ -475,9 +474,7 @@ def verify_theorem_empirically(
     for trial in range(trials):
         s = _trial_seed(seed, trial)
         config = random_configuration(ti.d, ti.sizes, s, coordinate_bound)
-        result = find_disjoint_intersecting_family(
-            config, effective_q, lp_budget=lp_budget, max_dim=max_dim
-        )
+        result = find_disjoint_intersecting_family(config, effective_q, lp_budget=lp_budget)
         if result.found:
             result.witness.verify(config)
         records.append(

@@ -1,12 +1,13 @@
 """Independent oracles used to cross-check library results.
 
 Everything here re-derives answers from first principles along a different
-code path: brute-force predicate enumeration for board complexes, a plain
-dense row-reduction for ranks mod p, and exact orientation predicates for
-planar hull intersection.
+code path: brute-force predicate enumeration for board complexes, deleted
+joins and deleted products, a plain dense row-reduction for ranks mod p, and
+exact orientation predicates for planar hull intersection.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -25,6 +26,28 @@ def brute_force_chessboard_faces(m, n):
             if len(set(rows)) == size and len(set(cols)) == size:
                 faces.add(tuple(sorted(i * n + j for i, j in combo)))
     return faces
+
+
+def deleted_join_by_product(base, n, k):
+    """Faces of the n-fold k-wise deleted join, enumerated directly: one face
+    of ``base`` or none per copy, each vertex in fewer than k of them."""
+    nb = base.n_vertices
+    faces = [
+        tuple(c * nb + v for c, f in enumerate(combo) for v in f)
+        for combo in itertools.product([(), *base.faces()], repeat=n)
+        if max(Counter(itertools.chain(*combo)).values(), default=0) < k
+    ]
+    return sorted(filter(None, faces), key=lambda f: (len(f), f))
+
+
+def deleted_product_by_product(base, n, k):
+    """Cells of the n-fold k-wise deleted product, enumerated directly: one
+    nonempty face of ``base`` per copy, each vertex in fewer than k of them."""
+    cells = [
+        combo for combo in itertools.product(list(base.faces()), repeat=n)
+        if max(Counter(itertools.chain(*combo)).values()) < k
+    ]
+    return sorted(cells, key=lambda cell: (sum(map(len, cell)), cell))
 
 
 def is_downward_closed(complex_):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_instance_validation():
         TheoremInstance(d=2, k=2, m_large=0, p=4, n=1, sizes=(1, 1, 1))
     with pytest.raises(ValueError):
         TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1))
+
+
+def test_instance_rejects_an_r_too_long_to_print(monkeypatch):
+    # at the default limit of 4300 digits for int-to-text conversion; r is
+    # never computed, so a bundle with a huge n is rejected at once
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    for p, n in [(3, 30_000_000), (2, 20_000), (2, 14_285)]:
+        with pytest.raises(ValueError, match=rf"r = {p}\*\*{n} has more than 4300 digits"):
+            TheoremInstance(d=2, k=2, m_large=0, p=p, n=n, sizes=(1, 1, 1))
+    # 2**14284 has 4300 digits, 2**14285 has 4301
+    assert TheoremInstance(d=2, k=2, m_large=0, p=2, n=14_284, sizes=(1, 1, 1)).n == 14_284
 
 
 # -- connectivity lower bound -------------------------------------------------------

@@ -379,8 +379,9 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
 # each would run for minutes if its builder finished the work after the
 # outcome is known: the budget sum of a huge board, every copy of a deleted
 # product once a level is empty, a deleted join whose face count is already
-# known to pass the budget (or its labels built first), or a deleted join
-# that rebuilt every partial tuple at every copy
+# known to pass the budget (or its labels built first), a deleted join
+# that rebuilt every partial tuple at every copy, or r = p**n computed for
+# a bundle whose r has millions of digits
 @pytest.mark.parametrize(
     "argv,code,result",
     [
@@ -391,9 +392,11 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
         (["deleted-join", "--points", "3", "--copies", "100000000"], 1,
          {"error_type": "FaceBudgetError"}),
         (["deleted-join", "--points", "1", "--copies", "20000"], 0, {"face_count": 20000}),
+        (["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "3", "--n", "30000000",
+          "--sizes", "1,1,1"], 1, {"error_type": "ValueError"}),
     ],
     ids=["chessboard", "deleted-product", "deleted-join", "deleted-join-labels",
-         "deleted-join-one-point"],
+         "deleted-join-one-point", "verify-theorem-huge-r"],
 )
 def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, result):
     proc = fresh_python("-m", "tverlab.cli", *argv)
@@ -420,4 +423,16 @@ def test_betti_of_many_points_stays_small_in_memory(fresh_python):
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out)["result"]["betti"] == [39999]
+    assert int(err) < 120 * 1024
+
+
+@pytest.mark.parametrize("command", ["deleted-join", "deleted-product"])
+def test_wiseness_far_above_the_copies_stays_small_in_memory(fresh_python, command):
+    # before k was capped at copies + 1 this run took 1.6 s and 212 MB
+    argv = [command, "--rainbow", "3,3", "--copies", "3", "--wise", "100000"]
+    proc = fresh_python("-c", PEAK_RSS, *argv)
+    out, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    report = json.loads(out)
+    assert report["input_echo"]["wise"] == 100000
     assert int(err) < 120 * 1024

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+import tverlab.complexes as complexes
 from tverlab.complexes import (
     Coloring,
+    DecompositionError,
     FaceBudgetError,
     SimplicialComplex,
     apply_symmetry,
@@ -24,7 +26,12 @@ from tverlab.complexes import (
     regular_embedding,
 )
 
-from oracles import brute_force_chessboard_faces, is_downward_closed
+from oracles import (
+    brute_force_chessboard_faces,
+    deleted_join_by_product,
+    deleted_product_by_product,
+    is_downward_closed,
+)
 
 
 # -- chessboard ---------------------------------------------------------------
@@ -201,19 +208,8 @@ def test_deleted_join_faces_are_tagged_unions_of_base_faces():
         assert len(all_base) == len(set(all_base))
 
 
-def deleted_join_by_product(base, n, k):
-    """Faces of the n-fold k-wise deleted join, enumerated directly: one face
-    of ``base`` or none per copy, each vertex in fewer than k of them."""
-    nb = base.n_vertices
-    faces = [
-        tuple(c * nb + v for c, f in enumerate(combo) for v in f)
-        for combo in itertools.product([(), *base.faces()], repeat=n)
-        if max(Counter(itertools.chain(*combo)).values(), default=0) < k
-    ]
-    return sorted(filter(None, faces), key=lambda f: (len(f), f))
-
-
-@pytest.mark.parametrize(
+# the last two have k > n + 1, where no k of the n faces can meet
+ENUMERATED = pytest.mark.parametrize(
     "base,n,k",
     [
         (discrete_points(1), 5, 2),
@@ -222,20 +218,46 @@ def deleted_join_by_product(base, n, k):
         (boundary_simplex(2), 4, 2),
         (full_simplex(2), 3, 2),
         (rainbow_complex([2, 2])[0], 3, 3),
+        (discrete_points(3), 3, 5),
+        (boundary_simplex(2), 2, 10**6),
     ],
-    ids=["1pt", "2pts", "3pts", "circle", "triangle", "rainbow"],
+    ids=["1pt", "2pts", "3pts", "circle", "triangle", "rainbow", "3pts-wide", "circle-wide"],
 )
+
+
+@ENUMERATED
 def test_deleted_join_matches_a_direct_enumeration(base, n, k):
     faces = deleted_join_by_product(base, n, k)
     dj = deleted_join(base, n, k)
     assert list(dj.faces()) == faces
     sizes = Counter(map(len, faces))
     assert dj.f_vector == tuple(sizes[d + 1] for d in range(max(sizes)))
-    # the budget is checked against a lower bound on the face count: it
+    # the face count is known exactly before any face is made: the budget
     # admits exactly the count and fires one below it
     assert deleted_join(base, n, k, budget=len(faces)) == dj
     with pytest.raises(FaceBudgetError, match=f"{n}-fold deleted join"):
         deleted_join(base, n, k, budget=len(faces) - 1)
+
+
+@ENUMERATED
+def test_deleted_product_matches_a_direct_enumeration(base, n, k):
+    cells = deleted_product_by_product(base, n, k)
+    dp = deleted_product(base, n, k)
+    assert list(dp.cells()) == cells
+    assert dp.k == k
+    # no level of the stream is larger than the cell count: the budget admits
+    # exactly the count and fires one below it
+    assert list(deleted_product(base, n, k, budget=len(cells)).cells()) == cells
+    with pytest.raises(FaceBudgetError, match=f"{n}-fold deleted product"):
+        deleted_product(base, n, k, budget=len(cells) - 1)
+
+
+def test_wiseness_above_copies_plus_one_acts_as_copies_plus_one():
+    base = rainbow_complex([3, 2])[0]
+    for n in (2, 3):
+        assert deleted_join(base, n, 10**6) == deleted_join(base, n, n + 1)
+        assert (list(deleted_product(base, n, 10**6).cells())
+                == list(deleted_product(base, n, n + 1).cells()))
 
 
 def test_deleted_join_rejects_small_parameters():
@@ -331,6 +353,37 @@ def test_decomposition_vertex_map_formula():
     w = decomposition_isomorphism([2, 3], 2)
     for (copy_j, (color_i, v)), target in w.vertex_map.items():
         assert target == (color_i, (v, copy_j))
+
+
+def test_decomposition_error_when_face_counts_differ(monkeypatch):
+    board = complexes.chessboard
+
+    def without_top_faces(m, n, *, budget=None):
+        b = board(m, n, budget=budget)
+        return SimplicialComplex(b.n_vertices, (f for f in b.faces() if len(f) < min(m, n)),
+                                 b.labels, closed=True)
+
+    monkeypatch.setattr(complexes, "chessboard", without_top_faces)
+    with pytest.raises(DecompositionError, match="face counts differ: 6 vs 4"):
+        decomposition_isomorphism([2], 2)
+
+
+def test_decomposition_error_names_a_face_whose_image_is_not_a_face(monkeypatch):
+    board = complexes.chessboard
+
+    def swapped(m, n, *, budget=None):
+        # cells (1,1) and (1,2) trade labels: same face count, other faces
+        b = board(m, n, budget=budget)
+        labels = list(b.labels)
+        labels[0], labels[1] = labels[1], labels[0]
+        return SimplicialComplex(b.n_vertices, b.faces(), labels, closed=True)
+
+    monkeypatch.setattr(complexes, "chessboard", swapped)
+    with pytest.raises(DecompositionError, match="image of a face is not a face") as info:
+        decomposition_isomorphism([2], 2)
+    # copy 1 of vertex 1 and copy 2 of vertex 2: cells (1,1) and (2,2) on the
+    # true board, but the swapped board puts the first in column 2
+    assert info.value.counterexample == (0, 3)
 
 
 def test_deleted_join_of_zero_dim_complex_is_a_chessboard():

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from tverlab.complexes import Coloring, SimplicialComplex, deleted_product
+from tverlab.complexes import Coloring, SimplicialComplex, deleted_join, deleted_product
 from tverlab.geometry import ColoredConfiguration, hulls_intersect
 from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain_complex
 
 from oracles import (
     check_certificate,
+    deleted_join_by_product,
+    deleted_product_by_product,
     oracle_betti,
     oracle_boundary_columns,
     oracle_cellular_betti,
@@ -76,6 +78,18 @@ def test_deleted_product_betti_agrees_with_oracle_and_relabelling(base, n, k, p,
     assert reduced_euler_holds(product.f_vector, profile)
     moved = deleted_product(relabelled(base, seed), n, k)
     assert betti_numbers(moved, p).betti == profile
+
+
+# n copies and a wiseness k in {2, 3, n + 2}, the last above any n faces
+copies_and_wiseness = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from([2, 3, n + 2])))
+
+
+@given(complexes(max_vertices=4, max_facets=3), copies_and_wiseness)
+def test_deleted_join_and_product_agree_with_a_direct_enumeration(base, nk):
+    n, k = nk
+    assert list(deleted_join(base, n, k).faces()) == deleted_join_by_product(base, n, k)
+    assert list(deleted_product(base, n, k).cells()) == deleted_product_by_product(base, n, k)
 
 
 @given(complexes(), st.sampled_from([2, 3, 5]))
