@@ -66,11 +66,14 @@ class TheoremInstance:
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("prime exponent n must be at least 1")
-        # r = p**n has floor(n*log10(p)) + 1 digits; it is not computed here,
-        # and one past the limit for int-to-text conversion (3.10.7+) is rejected
+        # every number a report prints, such as (d+1)(r-1) + 1, is below
+        # (d+1)r = (d+1)p**n, which has floor(log10(d+1) + n*log10(p)) + 1
+        # digits; r is not computed here, and a report past the limit for
+        # int-to-text conversion (3.10.7+) is rejected
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and self.n * math.log10(self.p) >= limit:
-            raise ValueError(f"r = {self.p}**{self.n} has more than {limit} digits")
+        if limit and math.log10(self.d + 1) + self.n * math.log10(self.p) >= limit:
+            raise ValueError(f"r = {self.p}**{self.n} makes (d+1)r, the bound on the numbers "
+                             f"a report prints, longer than {limit} digits")
         if len(self.sizes) != self.k + 1:
             raise ValueError(f"need exactly k+1 = {self.k + 1} color sizes")
         if any(s < 1 for s in self.sizes):

@@ -305,7 +305,7 @@ def _canonical(faces: list, length: int, n_vertices: int, shorter: dict) -> list
         for f in faces:  # subclasses of int other than bool pass
             if not all(map(is_int, f)):
                 raise ValueError(f"face {f} has a vertex that is not an integer")
-    if not all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:])):
+    if not _ascending(positions):
         kept = []
         for f in map(tuple, map(sorted, map(set, faces))):
             (kept if len(f) == length else shorter.setdefault(len(f), [])).append(f)
@@ -320,6 +320,11 @@ def _canonical(faces: list, length: int, n_vertices: int, shorter: dict) -> list
 def _positions(keys, length: int) -> list:
     """The entries of the ``length``-tuples ``keys``, one list per position."""
     return [list(map(operator.itemgetter(t), keys)) for t in range(length)]
+
+
+def _ascending(positions: list) -> bool:
+    """Whether every tuple of ``positions`` (see ``_positions``) ascends strictly."""
+    return all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:]))
 
 
 def _drop_position(positions: list, t: int):

@@ -17,18 +17,22 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
+from .complexes import (ProductCellComplex, SimplicialComplex, _ascending, _drop_position,
+                        _positions, is_prime)
 
 
 class ModMatrix:
-    """Sparse matrix over Z_p stored column-major: each column is a
-    ``{row: value}`` dict with values in 1..p-1.
+    """Sparse matrix over Z_p stored column-major: column j is the tuple of
+    its rows, ``rows[j]``, lowest (largest-index) row first, beside the
+    tuple of their values in 1..p-1, ``values[j]``, which the assembler
+    shares among the columns of one shape.
 
     The constructor and ``set_column`` take a column as ``(row, value)``
-    pairs, reduced mod p, with the values of a repeated row added up.
+    pairs, reduced mod p, with the values of a repeated row added up, and
+    store its rows in descending order.
     """
 
-    __slots__ = ("nrows", "ncols", "p", "cols")
+    __slots__ = ("nrows", "ncols", "p", "rows", "values")
 
     def __init__(self, nrows, ncols, p, cols=None):
         if not is_prime(p):
@@ -36,7 +40,7 @@ class ModMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
-        self.cols = [{} for _ in range(ncols)]
+        self.rows, self.values = [()] * ncols, [()] * ncols
         for j, col in enumerate(cols or ()):
             self.set_column(j, col)
 
@@ -52,21 +56,28 @@ class ModMatrix:
                     col[i] = v
                 else:
                     del col[i]
-        self.cols[j] = col
+        rows = sorted(col, reverse=True)
+        self.rows[j], self.values[j] = tuple(rows), tuple(map(col.__getitem__, rows))
+
+    @property
+    def cols(self) -> list[dict[int, int]]:
+        """The columns as ``{row: value}`` dicts in stored order, built anew."""
+        return list(map(dict, map(zip, self.rows, self.values)))
 
     @property
     def nnz(self) -> int:
-        return sum(map(len, self.cols))
+        return sum(map(len, self.rows))
 
     def composes_to_zero(self, next_boundary: "ModMatrix") -> bool:
         """True iff self @ next_boundary is the zero matrix."""
         if self.ncols != next_boundary.nrows:
             raise ValueError("boundary shapes do not chain")
-        for col in next_boundary.cols:
+        rows, values, p = self.rows, self.values, self.p
+        for col_rows, col_values in zip(next_boundary.rows, next_boundary.values):
             acc: dict[int, int] = {}
-            for r, v in col.items():
-                for i, w in self.cols[r].items():
-                    acc[i] = (acc.get(i, 0) + v * w) % self.p
+            for r, v in zip(col_rows, col_values):
+                for i, w in zip(rows[r], values[r]):
+                    acc[i] = (acc.get(i, 0) + v * w) % p
             if any(acc.values()):
                 return False
         return True
@@ -77,44 +88,59 @@ class ModMatrix:
         lowest (largest-index) nonzero row carries no pivot yet, or it
         vanishes.  Columns whose index is in ``skip`` are left out.
 
-        Over GF(2) a column is an int whose set bits are its rows; over odd p
-        it is a ``{row: value}`` dict, and each pivot column is scaled to
-        have 1 in its lowest row.  The pivot rows of the reduced columns
-        depend only on the span of the columns reduced, and with no ``skip``
-        their number is the rank.
+        A column whose lowest row, its first, is free becomes that row's
+        pivot as stored, and is converted only when a later column reduces
+        against it, as is every column reduced: over GF(2) to an int whose
+        set bits are its rows, over odd p to a ``{row: value}`` dict, a
+        pivot scaled to 1 in its lowest row.  The pivot rows of the reduced
+        columns depend only on the span of the columns reduced, and with no
+        ``skip`` their number is the rank.
         """
         p = self.p
+        pivots, stored = {}, {}  # per lowest row, a pivot converted, or as stored
         if p == 2:
-            masks: dict[int, int] = {}
-            for j, col in enumerate(self.cols):
-                if not col or j in skip:
+            for j, rows in enumerate(self.rows):
+                if not rows or j in skip:
                     continue
-                # one shift by the least row keeps the summands small
-                lo = min(col)
-                mask = 0
-                for i in col:
-                    mask |= 1 << (i - lo)
-                mask <<= lo
+                low = rows[0]
+                other = pivots.get(low)
+                if other is None:
+                    other = stored.pop(low, None)
+                    if other is None:
+                        stored[low] = rows
+                        continue
+                    other = pivots[low] = _mask(other)
+                mask = _mask(rows) ^ other
                 while mask:
                     low = mask.bit_length() - 1
-                    other = masks.get(low)
+                    other = pivots.get(low)
                     if other is None:
-                        masks[low] = mask
-                        break
+                        other = stored.pop(low, None)
+                        if other is None:
+                            pivots[low] = mask
+                            break
+                        other = pivots[low] = _mask(other)
                     mask ^= other
-            return set(masks)
-        pivots: dict[int, dict[int, int]] = {}
-        for j, col in enumerate(self.cols):
-            if not col or j in skip:
+            return set(pivots).union(stored)
+        for j, col in enumerate(zip(self.rows, self.values)):
+            if not col[0] or j in skip:
                 continue
-            vec = dict(col)
+            low = col[0][0]
+            if low not in pivots and low not in stored:
+                stored[low] = col
+                continue
+            vec = dict(zip(*col))
             while vec:
                 low = max(vec)
                 other = pivots.get(low)
                 if other is None:
-                    inv = pow(vec[low], -1, p)
-                    pivots[low] = {i: v * inv % p for i, v in vec.items()}
-                    break
+                    other = stored.pop(low, None)
+                    if other is None:
+                        inv = pow(vec[low], -1, p)
+                        pivots[low] = {i: v * inv % p for i, v in vec.items()}
+                        break
+                    inv = pow(other[1][0], -1, p)  # the value in the lowest row
+                    other = pivots[low] = {i: v * inv % p for i, v in zip(*other)}
                 c = vec[low]
                 for i, v in other.items():
                     # v and c are units, so w == 0 only where vec has row i
@@ -123,11 +149,21 @@ class ModMatrix:
                         vec[i] = w
                     else:
                         del vec[i]
-        return set(pivots)
+        return set(pivots).union(stored)
 
     def rank(self) -> int:
         """Exact rank over Z_p, for any matrix."""
         return len(self.pivot_rows())
+
+
+def _mask(rows: tuple) -> int:
+    """The int whose set bits are the given distinct rows; one shift by the
+    least row keeps the summands small."""
+    lo = min(rows)
+    mask = 0
+    for i in rows:
+        mask |= 1 << (i - lo)
+    return mask << lo
 
 
 @dataclass
@@ -143,7 +179,8 @@ class ChainComplexModP:
     ``boundaries[d+1]`` is the lowest cell of a boundary, hence of a cycle,
     so its column of ``boundaries[d]`` lies in the span of the earlier ones
     and is skipped.  This assumes ``boundaries[d] @ boundaries[d+1] == 0``,
-    which the assembler guarantees and ``verify()`` checks.
+    and that each column lists its lowest row first; the assembler
+    guarantees both, and ``verify()`` checks them.
     """
 
     p: int
@@ -176,13 +213,15 @@ class ChainComplexModP:
         return self.dims[d] - self.rank_boundary(d) - self.rank_boundary(d + 1)
 
     def verify(self) -> None:
-        """Assert shapes chain correctly and that consecutive boundaries
-        compose to zero (augmentation included)."""
+        """Assert shapes chain, columns list their lowest row first, and
+        consecutive boundaries compose to zero (augmentation included)."""
         for d in range(self.top_dim + 1):
             mat = self.boundaries[d]
             expect_rows = 1 if d == 0 else self.dims[d - 1]
             if mat.nrows != expect_rows or mat.ncols != self.dims[d]:
                 raise AssertionError(f"boundary {d} has shape {mat.nrows}x{mat.ncols}")
+            if any(rows and rows[0] != max(rows) for rows in mat.rows):
+                raise AssertionError(f"boundary {d} has a column whose lowest row is not first")
         for d in range(self.top_dim):
             if not self.boundaries[d].composes_to_zero(self.boundaries[d + 1]):
                 raise AssertionError(f"boundary composition {d} o {d + 1} is nonzero")
@@ -259,43 +298,47 @@ def _assemble(graded, p: int) -> ChainComplexModP:
     dims, boundaries = [], []
     lower: dict[tuple, dict] = {}  # per shape one degree down, the row of each key
     for groups in graded:
-        index, parts = {}, []
+        index, cols, values = {}, [], []
         try:
             for shape, (rows, keys) in groups.items():
                 index[shape] = dict(zip(keys, rows))
                 # the boundary of degree 0 is the augmentation
-                parts.append(_columns(shape, keys, lower, p) if dims else [{0: 1} for _ in rows])
+                faces, signs = _columns(shape, keys, lower, p) if dims else ([(0,)] * len(rows), (1,))
+                cols += faces
+                values += [signs] * len(faces)
         except KeyError:
             # a face of the cell is not among the cells one degree down
             raise ValueError("complex is not closed under taking faces") from None
-        if len(parts) != 1:  # the rows of one shape ascend, but not of several
+        if len(groups) > 1:  # the rows of one shape ascend, but not of several
             order = itertools.chain.from_iterable(rows for rows, _ in groups.values())
-            parts = [[c for _, c in sorted(zip(order, itertools.chain(*parts)), key=lambda rc: rc[0])]]
-        cols = parts[0]
+            _, cols, values = map(list, zip(*sorted(zip(order, cols, values))))
         mat = ModMatrix(dims[-1] if dims else 1, 0, p)
-        mat.ncols, mat.cols = len(cols), cols
+        mat.ncols, mat.rows, mat.values = len(cols), cols, values
         dims.append(len(cols))
         boundaries.append(mat)
         lower = index
     return ChainComplexModP(p, dims, boundaries)
 
 
-def _columns(shape: tuple, keys: list, lower: dict, p: int) -> list:
-    """The columns of one shape's cells (see ``_assemble``), a vertex position
-    at a time: one pass over the keys finds the face that drops it in each."""
+def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
+    """The boundary columns of one shape's cells (see ``_assemble``) as row
+    tuples, and the values tuple they share, a vertex position at a time.
+    Rows follow the sorted cells, so with sorted factors a cell's first face,
+    which drops the least vertex of its first factor of two or more, is its
+    lowest row."""
     positions = _positions(keys, sum(shape))
     faces, signs, pos = [], [], 0
     for i, length in enumerate(shape):
         if length > 1:
+            if not _ascending(positions[pos:pos + length]):
+                raise ValueError("a factor of a cell is not a sorted tuple")
             row_of = lower[shape[:i] + (length - 1,) + shape[i + 1:]].__getitem__
             for t in range(pos, pos + length):
                 faces.append(map(row_of, _drop_position(positions, t)))
                 signs.append(p - 1 if (t - i) & 1 else 1)
         pos += length
-    faces = zip(*faces)  # per cell, the row of each of its faces
-    # the columns are built reduced mod p, so set_column is not needed
-    return list(map(dict.fromkeys, faces, itertools.repeat(1)) if p == 2
-                else map(dict, map(zip, faces, itertools.repeat(signs))))
+    # per cell, the row of each of its faces; the values are reduced mod p
+    return list(zip(*faces)), tuple(signs)
 
 
 def _as_chain_complex(obj, p: int) -> ChainComplexModP:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 
 import pytest
@@ -45,15 +46,22 @@ def test_instance_validation():
         TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1))
 
 
-def test_instance_rejects_an_r_too_long_to_print(monkeypatch):
-    # at the default limit of 4300 digits for int-to-text conversion; r is
-    # never computed, so a bundle with a huge n is rejected at once
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-    for p, n in [(3, 30_000_000), (2, 20_000), (2, 14_285)]:
-        with pytest.raises(ValueError, match=rf"r = {p}\*\*{n} has more than 4300 digits"):
-            TheoremInstance(d=2, k=2, m_large=0, p=p, n=n, sizes=(1, 1, 1))
-    # 2**14284 has 4300 digits, 2**14285 has 4301
-    assert TheoremInstance(d=2, k=2, m_large=0, p=2, n=14_284, sizes=(1, 1, 1)).n == 14_284
+def test_instance_rejects_an_r_too_long_to_print():
+    # at the default limit of 4300 digits for int-to-text conversion: every
+    # number a report prints is below (d+1)r, here 3 * 2**n; r is never
+    # computed, so a bundle with a huge n is rejected at once
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for p, n in [(3, 30_000_000), (2, 20_000), (2, 14_283)]:
+            with pytest.raises(ValueError, match=rf"r = {p}\*\*{n} makes \(d\+1\)r, .* longer than 4300 digits"):
+                TheoremInstance(d=2, k=2, m_large=0, p=p, n=n, sizes=(1, 1, 1))
+        # 3 * 2**14282 has 4300 digits, and the report prints (d+1)(r-1) =
+        # 3 * 2**14282 - 3; 3 * 2**14283 has 4301
+        ti = TheoremInstance(d=2, k=2, m_large=0, p=2, n=14_282, sizes=(1, 1, 1))
+        assert len(json.dumps(evaluate_bundle(ti))) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- connectivity lower bound -------------------------------------------------------

@@ -465,6 +465,26 @@ def test_budget_counts_distinct_given_faces():
         SimplicialComplex(2, faces, closed=True, budget=2)
 
 
+def test_deleted_join_checks_each_level_times_its_sets_of_copies(monkeypatch):
+    # 4 copies of 3 points: 12 faces on one copy, then 6 x 6 = 36 on two,
+    # 72 in all.  The level on two copies already takes the count past 20,
+    # so no stream for three copies is run; checking count + size alone
+    # (12 + 6) would let it run.
+    streams = []
+    stream = complexes._tuple_stream
+
+    def recording(base, n, *args):
+        streams.append(n)
+        return stream(base, n, *args)
+
+    monkeypatch.setattr(complexes, "_tuple_stream", recording)
+    assert deleted_join(discrete_points(3), 4).face_count == 72
+    streams.clear()
+    with pytest.raises(FaceBudgetError, match="4-fold deleted join"):
+        deleted_join(discrete_points(3), 4, budget=20)
+    assert streams == [1, 2]
+
+
 def test_deleted_product_budget_is_checked_while_cells_are_built():
     # the 3-fold deleted product of the 6x6 board has far more cells than
     # could be listed before counting them

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -73,8 +75,10 @@ def test_boundary_columns_match_the_per_cell_oracle(c, p):
         cc = cellular_chain_complex(c, p)
     else:
         cc = chain_complex(c, p)
-    assert stored_columns(cc) == oracle_boundary_columns(c, p)
+    expected = oracle_boundary_columns(c, p)
+    assert stored_columns(cc) == expected
     assert [mat.nrows for mat in cc.boundaries] == [1, *cc.dims[:-1]]
+    assert [mat.nnz for mat in cc.boundaries] == [sum(map(len, cols)) for cols in expected]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -387,6 +391,136 @@ def test_rank_is_invariant_under_row_and_column_shuffles():
         for j, col in enumerate(base.cols):
             shuffled.set_column(col_perm[j], [(row_perm[i], v) for i, v in col.items()])
         assert shuffled.rank() == expected
+
+
+# -- column storage ------------------------------------------------------------------
+
+
+def test_columns_are_stored_as_row_tuples_lowest_row_first():
+    mat = ModMatrix(4, 3, 3, [[(1, 1), (3, 2), (0, 1)], [], [(2, 4)]])
+    assert (mat.rows, mat.values) == ([(3, 1, 0), (), (2,)], [(2, 1, 1), (), (1,)])
+    assert mat.nnz == 4
+    # the dict view, in stored order, is built anew on each access
+    assert [list(col.items()) for col in mat.cols] == [[(3, 2), (1, 1), (0, 1)], [], [(2, 1)]]
+    mat.cols[0][3] = 1
+    assert mat.cols[0] == {3: 2, 1: 1, 0: 1}
+
+
+def test_composes_to_zero_reads_rows_and_values():
+    # over Z_3 the row (1, 1) takes the column (1, 2) to zero, not (1, 1)
+    row = ModMatrix(1, 2, 3, [[(0, 1)], [(0, 1)]])
+    assert row.composes_to_zero(ModMatrix(2, 1, 3, [[(0, 1), (1, 2)]]))
+    assert not row.composes_to_zero(ModMatrix(2, 1, 3, [[(0, 1), (1, 1)]]))
+    with pytest.raises(ValueError, match="do not chain"):
+        row.composes_to_zero(ModMatrix(3, 1, 3))
+    # one sign flipped in an assembled boundary breaks the composition
+    cc = chain_complex(chessboard(3, 3), 3)
+    d1, d2 = cc.boundaries[1], cc.boundaries[2]
+    assert d1.composes_to_zero(d2)
+    d2.set_column(0, [(i, -v if i == d2.rows[0][0] else v) for i, v in d2.cols[0].items()])
+    assert not d1.composes_to_zero(d2)
+
+
+def test_verify_checks_that_each_column_lists_its_lowest_row_first():
+    cc = chain_complex(boundary_simplex(2), 3)
+    cc.verify()
+    mat = cc.boundaries[1]
+    mat.rows[0], mat.values[0] = mat.rows[0][::-1], mat.values[0][::-1]
+    with pytest.raises(AssertionError, match="lowest row is not first"):
+        cc.verify()
+
+
+def test_cells_with_an_unsorted_factor_are_rejected():
+    # a cell's first face is its lowest row only if every factor is sorted
+    edge = ProductCellComplex(full_simplex(1), 1, 2, [((1, 0),), ((0,),), ((1,),)])
+    with pytest.raises(ValueError, match="not a sorted tuple"):
+        cellular_chain_complex(edge, 2)
+
+
+def _pivot_rows_by_rank(dense, p, kept):
+    """Row i is a pivot row of the reduction exactly when the rows from i
+    down have larger rank, over the kept columns, than the rows below i."""
+    block = [oracle_rank_mod_p([[r[j] for j in kept] for r in dense[i:]], p)
+             for i in range(len(dense) + 1)]
+    return {i for i in range(len(dense)) if block[i] > block[i + 1]}
+
+
+def _dense(nrows, ncols, cols):
+    dense = [[0] * ncols for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col:
+            dense[i][j] += v
+    return dense
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_stored_pivot_is_converted_when_a_later_column_meets_it(p):
+    two = 2 if p > 2 else 1
+    # column 0 becomes the pivot of row 3 as stored, with 2 there over odd
+    # p; column 1 meets it, so it is converted and scaled, and ends as the
+    # pivot of row 2, which column 2 meets; column 3 is a pivot nothing
+    # meets, and column 4 meets column 0 once it is converted
+    cols = [[(3, two), (0, 1)], [(3, 1), (2, 1)], [(2, two), (0, p - 1)], [(1, 1)], [(3, 1), (0, 1)]]
+    mat = ModMatrix(4, len(cols), p, cols)
+    dense = _dense(4, len(cols), cols)
+    assert mat.rank() == oracle_rank_mod_p(dense, p)
+    for skip in ([], [0], [1], [0, 3]):
+        kept = [j for j in range(len(cols)) if j not in skip]
+        assert mat.pivot_rows(frozenset(skip)) == _pivot_rows_by_rank(dense, p, kept)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pivot_rows_where_many_columns_share_a_lowest_row(p):
+    # most columns end in one of the last two rows, so most pivots are met,
+    # some long after they were stored; entries are given in any order
+    rng = random.Random(11 * p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 9), rng.randint(1, 14)
+        cols = []
+        for _ in range(ncols):
+            low = nrows - rng.randint(1, 2)
+            col = [(low, rng.randrange(1, p))]
+            col += [(i, rng.randrange(1, p)) for i in range(low) if rng.random() < 0.4]
+            rng.shuffle(col)
+            cols.append(col)
+        mat = ModMatrix(nrows, ncols, p, cols)
+        dense = _dense(nrows, ncols, cols)
+        assert mat.rank() == oracle_rank_mod_p(dense, p)
+        skip = frozenset(j for j in range(ncols) if rng.random() < 0.25)
+        kept = [j for j in range(ncols) if j not in skip]
+        assert mat.pivot_rows(skip) == _pivot_rows_by_rank(dense, p, kept)
+
+
+def test_chain_complex_holds_one_row_tuple_per_column():
+    # the columns of a shape share one values tuple, so beyond its complex
+    # the chain complex holds about 4.3 MiB here; a dict per column held 9.9
+    c = chessboard(6, 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cc = chain_complex(c, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cc.dims == [42, 630, 4200, 12600, 15120, 5040]
+    assert held < 6 * 2**20
+
+
+def test_profile_instances_keep_their_cell_and_nonzero_counts():
+    # the figures a benchmark reads from the library for these four: the
+    # cells of the complexes and the nonzeros of their boundaries
+    instances = [
+        (chessboard(6, 7), 2),
+        (deleted_join(rainbow_complex([3, 2, 2])[0], 3), 3),
+        (deleted_product(chessboard(3, 3), 3), 3),
+        (deleted_join(rainbow_complex([3, 3, 3])[0], 3), 2),
+    ]
+    cells = nnz = 0
+    for cx, p in instances:
+        cells += sum(cx.f_vector)
+        assemble = cellular_chain_complex if isinstance(cx, ProductCellComplex) else chain_complex
+        nnz += sum(mat.nnz for mat in assemble(cx, p).boundaries)
+    assert (cells, nnz) == (92_214, 452_841)
 
 
 def test_betti_of_chessboard_5x5_differs_between_primes():
