@@ -97,7 +97,7 @@ class ModMatrix:
         ``skip`` their number is the rank.
         """
         p = self.p
-        pivots, stored = {}, {}  # per lowest row, a pivot converted, or as stored
+        pivots = {}  # per lowest row, its pivot: as stored (a tuple), or converted
         if p == 2:
             for j, rows in enumerate(self.rows):
                 if not rows or j in skip:
@@ -105,40 +105,37 @@ class ModMatrix:
                 low = rows[0]
                 other = pivots.get(low)
                 if other is None:
-                    other = stored.pop(low, None)
-                    if other is None:
-                        stored[low] = rows
-                        continue
+                    pivots[low] = rows
+                    continue
+                if type(other) is tuple:
                     other = pivots[low] = _mask(other)
                 mask = _mask(rows) ^ other
                 while mask:
                     low = mask.bit_length() - 1
                     other = pivots.get(low)
                     if other is None:
-                        other = stored.pop(low, None)
-                        if other is None:
-                            pivots[low] = mask
-                            break
+                        pivots[low] = mask
+                        break
+                    if type(other) is tuple:
                         other = pivots[low] = _mask(other)
                     mask ^= other
-            return set(pivots).union(stored)
+            return set(pivots)
         for j, col in enumerate(zip(self.rows, self.values)):
             if not col[0] or j in skip:
                 continue
             low = col[0][0]
-            if low not in pivots and low not in stored:
-                stored[low] = col
+            if low not in pivots:
+                pivots[low] = col
                 continue
             vec = dict(zip(*col))
             while vec:
                 low = max(vec)
                 other = pivots.get(low)
                 if other is None:
-                    other = stored.pop(low, None)
-                    if other is None:
-                        inv = pow(vec[low], -1, p)
-                        pivots[low] = {i: v * inv % p for i, v in vec.items()}
-                        break
+                    inv = pow(vec[low], -1, p)
+                    pivots[low] = {i: v * inv % p for i, v in vec.items()}
+                    break
+                if type(other) is tuple:
                     inv = pow(other[1][0], -1, p)  # the value in the lowest row
                     other = pivots[low] = {i: v * inv % p for i, v in zip(*other)}
                 c = vec[low]
@@ -149,7 +146,7 @@ class ModMatrix:
                         vec[i] = w
                     else:
                         del vec[i]
-        return set(pivots).union(stored)
+        return set(pivots)
 
     def rank(self) -> int:
         """Exact rank over Z_p, for any matrix."""

@@ -78,6 +78,18 @@ def test_criterion_1_chessboard_connectivity_formula():
     assert not mismatches, f"connectivity formula mismatches: {mismatches}"
 
 
+def test_criterion_1_fails_on_exactly_its_three_known_sub_cases():
+    # criterion 1 reports any failure as one failed test, so a fourth
+    # mismatch would hide behind the three expected ones without this check
+    mismatches = []
+    for m, n, p in itertools.product(range(1, 7), range(1, 7), (2, 3)):
+        h = hconn(chessboard(m, n), p)
+        expected = min(m, n, (m + n + 1) // 3) - 2
+        if h.is_lower_bound or h.value != expected:
+            mismatches.append((m, n, p, str(h), expected))
+    assert mismatches == [(1, 1, 2, ">= 0", -1), (1, 1, 3, ">= 0", -1), (5, 5, 2, "2", 1)]
+
+
 def test_criterion_2_decomposition_isomorphism():
     t0 = time.time()
     cases = 0

@@ -380,7 +380,8 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
 # outcome is known: the budget sum of a huge board, every copy of a deleted
 # product once a level is empty, a deleted join whose face count is already
 # known to pass the budget (or its labels built first), a deleted join
-# that rebuilt every partial tuple at every copy, or r = p**n computed for
+# that rebuilt every partial tuple at every copy, a deleted product that
+# carried k - 1 vertex masks per partial tuple, or r = p**n computed for
 # a bundle whose r has millions of digits
 @pytest.mark.parametrize(
     "argv,code,result",
@@ -392,11 +393,13 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
         (["deleted-join", "--points", "3", "--copies", "100000000"], 1,
          {"error_type": "FaceBudgetError"}),
         (["deleted-join", "--points", "1", "--copies", "20000"], 0, {"face_count": 20000}),
+        (["deleted-product", "--points", "1", "--copies", "20000", "--wise", "20001"], 0,
+         {"total_cells": 1}),
         (["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "3", "--n", "30000000",
           "--sizes", "1,1,1"], 1, {"error_type": "ValueError"}),
     ],
     ids=["chessboard", "deleted-product", "deleted-join", "deleted-join-labels",
-         "deleted-join-one-point", "verify-theorem-huge-r"],
+         "deleted-join-one-point", "deleted-product-wise", "verify-theorem-huge-r"],
 )
 def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, result):
     proc = fresh_python("-m", "tverlab.cli", *argv)

@@ -252,6 +252,23 @@ def test_deleted_product_matches_a_direct_enumeration(base, n, k):
         deleted_product(base, n, k, budget=len(cells) - 1)
 
 
+# k - 1 = 2, 4 and 8 are where the width of a vertex's packed face count
+# grows by one bit
+PACKED_COUNTS = [(n, k) for n in range(2, 10) for k in range(2, n + 4)]
+
+
+def test_deleted_product_of_one_point_has_one_cell_exactly_when_k_exceeds_n():
+    for n, k in PACKED_COUNTS:
+        cells = list(deleted_product(discrete_points(1), n, k).cells())
+        assert cells == ([((0,),) * n] if k > n else []), (n, k)
+
+
+def test_deleted_join_of_two_points_across_count_widths():
+    base = discrete_points(2)
+    for n, k in PACKED_COUNTS:
+        assert list(deleted_join(base, n, k).faces()) == deleted_join_by_product(base, n, k), (n, k)
+
+
 def test_wiseness_above_copies_plus_one_acts_as_copies_plus_one():
     base = rainbow_complex([3, 2])[0]
     for n in (2, 3):
