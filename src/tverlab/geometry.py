@@ -250,10 +250,23 @@ class Witness:
     weights: tuple[tuple[Fraction, ...], ...]
 
     def verify(self, config: ColoredConfiguration) -> None:
-        """Re-check the certificate by pure rational arithmetic; raises
-        ValueError on the first violation."""
+        """Re-check the whole certificate by pure rational arithmetic: at
+        least one face, each member's point in its stated color class, the
+        faces pairwise disjoint, one convex weight vector per face, and a
+        point in Q^d that each face's weights reproduce.  Raises ValueError
+        on the first violation."""
+        if not self.faces:
+            raise ValueError("a witness has at least one face")
+        if len(self.weights) != len(self.faces):
+            raise ValueError("need one weight vector per face")
+        if len(self.point) != config.d:
+            raise ValueError(f"the common point does not have {config.d} coordinates")
+        classes = config.color_classes
         seen: set[int] = set()
         for face in self.faces:
+            for c, v in face.members:
+                if not (0 <= c < len(classes) and v in classes[c]):
+                    raise ValueError(f"point {v} is not in color class {c}")
             vs = face.vertices
             if seen & set(vs):
                 raise ValueError("witness faces are not pairwise disjoint")

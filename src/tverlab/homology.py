@@ -22,47 +22,21 @@ from .complexes import (ProductCellComplex, SimplicialComplex, _ascending, _drop
 
 
 class ModMatrix:
-    """Sparse matrix over Z_p stored column-major: column j is the tuple of
-    its rows, ``rows[j]``, lowest (largest-index) row first, beside the
-    tuple of their values in 1..p-1, ``values[j]``, which the assembler
-    shares among the columns of one shape.
-
-    The constructor and ``set_column`` take a column as ``(row, value)``
-    pairs, reduced mod p, with the values of a repeated row added up, and
-    store its rows in descending order.
+    """Sparse matrix over Z_p stored column-major, as the assembler builds
+    it: column j is the tuple of its rows, ``rows[j]``, lowest
+    (largest-index) row first, beside the tuple of their values in 1..p-1,
+    ``values[j]``, which the columns of one shape share.  The column count
+    is ``len(rows)``; the constructor checks nothing.
     """
 
-    __slots__ = ("nrows", "ncols", "p", "rows", "values")
+    __slots__ = ("nrows", "p", "rows", "values")
 
-    def __init__(self, nrows, ncols, p, cols=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.p = p
-        self.rows, self.values = [()] * ncols, [()] * ncols
-        for j, col in enumerate(cols or ()):
-            self.set_column(j, col)
-
-    def set_column(self, j, entries):
-        p = self.p
-        col: dict[int, int] = {}
-        for i, v in entries:
-            if v % p:
-                if not 0 <= i < self.nrows:
-                    raise ValueError(f"row {i} out of range")
-                v = (col.get(i, 0) + v) % p
-                if v:
-                    col[i] = v
-                else:
-                    del col[i]
-        rows = sorted(col, reverse=True)
-        self.rows[j], self.values[j] = tuple(rows), tuple(map(col.__getitem__, rows))
+    def __init__(self, nrows: int, p: int, rows: list, values: list):
+        self.nrows, self.p, self.rows, self.values = nrows, p, rows, values
 
     @property
-    def cols(self) -> list[dict[int, int]]:
-        """The columns as ``{row: value}`` dicts in stored order, built anew."""
-        return list(map(dict, map(zip, self.rows, self.values)))
+    def ncols(self) -> int:
+        return len(self.rows)
 
     @property
     def nnz(self) -> int:
@@ -148,10 +122,6 @@ class ModMatrix:
                         del vec[i]
         return set(pivots)
 
-    def rank(self) -> int:
-        """Exact rank over Z_p, for any matrix."""
-        return len(self.pivot_rows())
-
 
 def _mask(rows: tuple) -> int:
     """The int whose set bits are the given distinct rows; one shift by the
@@ -167,9 +137,9 @@ def _mask(rows: tuple) -> int:
 class ChainComplexModP:
     """Graded boundary matrices over Z_p, augmented in degree -1.
 
-    ``dims[d]`` counts the cells in degree d; ``boundaries[d]`` maps degree d
-    to degree d-1, with ``boundaries[0]`` the 1-row augmentation sending every
-    0-cell to the point class.
+    ``boundaries[d]`` maps degree d to degree d-1, with ``boundaries[0]``
+    the 1-row augmentation sending every 0-cell to the point class; the
+    cell counts ``dims`` are read off their column counts.
 
     All boundary ranks are computed together, on first use, top degree down
     with clearing: a d-cell that is a pivot row of the reduced
@@ -181,12 +151,15 @@ class ChainComplexModP:
     """
 
     p: int
-    dims: list[int]
     boundaries: list[ModMatrix]
 
     @property
+    def dims(self) -> list[int]:
+        return [mat.ncols for mat in self.boundaries]
+
+    @property
     def top_dim(self) -> int:
-        return len(self.dims) - 1
+        return len(self.boundaries) - 1
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -198,27 +171,16 @@ class ChainComplexModP:
             ranks.append(len(cleared))
         return tuple(reversed(ranks))
 
-    def rank_boundary(self, d: int) -> int:
-        """Rank of the boundary map leaving degree d (0 above the top)."""
-        if d < 0 or d > self.top_dim:
-            return 0
-        return self.ranks[d]
-
-    def betti_number(self, d: int) -> int:
-        if d < 0 or d > self.top_dim:
-            return 0
-        return self.dims[d] - self.rank_boundary(d) - self.rank_boundary(d + 1)
-
     def verify(self) -> None:
-        """Assert shapes chain, columns list their lowest row first, and
+        """Assert row counts chain, columns list their lowest row first, and
         consecutive boundaries compose to zero (augmentation included)."""
-        for d in range(self.top_dim + 1):
-            mat = self.boundaries[d]
-            expect_rows = 1 if d == 0 else self.dims[d - 1]
-            if mat.nrows != expect_rows or mat.ncols != self.dims[d]:
-                raise AssertionError(f"boundary {d} has shape {mat.nrows}x{mat.ncols}")
+        nrows = 1
+        for d, mat in enumerate(self.boundaries):
+            if mat.nrows != nrows:
+                raise AssertionError(f"boundary {d} has {mat.nrows} rows, not {nrows}")
             if any(rows and rows[0] != max(rows) for rows in mat.rows):
                 raise AssertionError(f"boundary {d} has a column whose lowest row is not first")
+            nrows = mat.ncols
         for d in range(self.top_dim):
             if not self.boundaries[d].composes_to_zero(self.boundaries[d + 1]):
                 raise AssertionError(f"boundary composition {d} o {d + 1} is nonzero")
@@ -292,7 +254,7 @@ def _assemble(graded, p: int) -> ChainComplexModP:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    dims, boundaries = [], []
+    boundaries = []
     lower: dict[tuple, dict] = {}  # per shape one degree down, the row of each key
     for groups in graded:
         index, cols, values = {}, [], []
@@ -300,7 +262,7 @@ def _assemble(graded, p: int) -> ChainComplexModP:
             for shape, (rows, keys) in groups.items():
                 index[shape] = dict(zip(keys, rows))
                 # the boundary of degree 0 is the augmentation
-                faces, signs = _columns(shape, keys, lower, p) if dims else ([(0,)] * len(rows), (1,))
+                faces, signs = _columns(shape, keys, lower, p) if boundaries else ([(0,)] * len(rows), (1,))
                 cols += faces
                 values += [signs] * len(faces)
         except KeyError:
@@ -309,12 +271,9 @@ def _assemble(graded, p: int) -> ChainComplexModP:
         if len(groups) > 1:  # the rows of one shape ascend, but not of several
             order = itertools.chain.from_iterable(rows for rows, _ in groups.values())
             _, cols, values = map(list, zip(*sorted(zip(order, cols, values))))
-        mat = ModMatrix(dims[-1] if dims else 1, 0, p)
-        mat.ncols, mat.rows, mat.values = len(cols), cols, values
-        dims.append(len(cols))
-        boundaries.append(mat)
+        boundaries.append(ModMatrix(boundaries[-1].ncols if boundaries else 1, p, cols, values))
         lower = index
-    return ChainComplexModP(p, dims, boundaries)
+    return ChainComplexModP(p, boundaries)
 
 
 def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
@@ -351,11 +310,11 @@ def _as_chain_complex(obj, p: int) -> ChainComplexModP:
 
 
 def betti(cc: ChainComplexModP) -> BettiProfile:
-    """Reduced Betti numbers from the boundary ranks, which are computed
-    with clearing and so assume consecutive boundaries compose to zero."""
-    return BettiProfile(
-        cc.p, tuple(cc.betti_number(d) for d in range(cc.top_dim + 1))
-    )
+    """Reduced Betti numbers, ``dims[d] - ranks[d] - ranks[d+1]`` in degree
+    d, from the boundary ranks, which are computed with clearing and so
+    assume consecutive boundaries compose to zero."""
+    ranks = (*cc.ranks, 0)
+    return BettiProfile(cc.p, tuple(n - ranks[d] - ranks[d + 1] for d, n in enumerate(cc.dims)))
 
 
 def betti_numbers(complex_, p: int = 2) -> BettiProfile:
@@ -368,7 +327,7 @@ def hconn(complex_, p: int = 2) -> HConn:
     """Homological connectivity over Z_p: one less than the first degree of
     the Betti profile with nonzero homology."""
     cc = _as_chain_complex(complex_, p)
-    if not cc.dims:
+    if not cc.boundaries:
         return HConn(-2)
     d = betti(cc).first_nonzero_degree()
     if d is None:

@@ -3,12 +3,16 @@
 Everything here re-derives answers from first principles along a different
 code path: brute-force predicate enumeration for board complexes, deleted
 joins and deleted products, a plain dense row-reduction for ranks mod p, and
-exact orientation predicates for planar hull intersection.
+exact orientation predicates for planar hull intersection.  Beside them,
+``mod_matrix`` builds a matrix for the rank engine from ``(row, value)``
+columns.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+
+from tverlab.homology import ModMatrix
 
 
 # -- combinatorial oracles ----------------------------------------------------
@@ -161,7 +165,23 @@ def oracle_boundary_columns(complex_, p):
 def stored_columns(cc):
     """The boundary columns of an assembled chain complex in the form of
     :func:`oracle_boundary_columns`, entries in stored order."""
-    return [[list(col.items()) for col in mat.cols] for mat in cc.boundaries]
+    return [[list(zip(*col)) for col in zip(mat.rows, mat.values)] for mat in cc.boundaries]
+
+
+def mod_matrix(nrows, p, cols):
+    """A ``ModMatrix`` over Z_p from columns given as ``(row, value)`` pairs
+    in any order: the values of a repeated row are added up and reduced mod
+    p, zeros are dropped, and the rows are stored lowest first."""
+    rows, values = [], []
+    for entries in cols:
+        col = Counter()
+        for i, v in entries:
+            assert 0 <= i < nrows, f"row {i} out of range"
+            col[i] += v
+        low_first = sorted((i for i in col if col[i] % p), reverse=True)
+        rows.append(tuple(low_first))
+        values.append(tuple(col[i] % p for i in low_first))
+    return ModMatrix(nrows, p, rows, values)
 
 
 # -- planar hull-intersection oracle ------------------------------------------

@@ -369,3 +369,45 @@ def test_connectedness_assumption_spot_check():
         rainbow, _ = rainbow_complex(sizes)
         dp = deleted_product(rainbow, 2, 2)
         assert betti_numbers(dp, 2).betti[0] == 0
+
+
+def test_the_verdict_assumes_connectedness_where_the_product_is_disconnected():
+    # at the small threshold 2r - 4 = 2 the verdict promises two faces, yet
+    # the deleted product is a 2-regular graph on 24 vertices with two
+    # components, two disjoint cycles; beta_0 counts components minus one
+    # over every field, so this is exact, not a Z_p proxy
+    ti = TheoremInstance(d=1, k=1, m_large=0, p=3, n=1, sizes=(2, 2))
+    v = volovikov_condition(ti)
+    assert v.applicable and evaluate_bundle(ti)["promised_faces"] == 2
+    (connected,) = [c for c in v.conditions if c.name == "configuration-space-connected"]
+    assert connected.passed and connected.assumed
+    dp = deleted_product(rainbow_complex([2, 2])[0], 3)
+    assert dp.f_vector == (24, 24)
+    for p in (2, 3):
+        assert betti_numbers(dp, p).betti == (1, 2)
+
+
+def test_claimed_index_bounds_are_at_most_the_dimension_plus_one():
+    # a free space has index at most dim + 1 (index >= conn + 2); the
+    # deleted join of the rainbow complex has dimension sum(min(s_i, r)) - 1,
+    # and its deleted product sum(min(s_i, r)) - r
+    claims = tight = 0
+    for ti in bundle_grid():
+        r = ti.r
+        top = sum(min(s, r) for s in ti.sizes)
+        for bound, dim in ((index_lower_bound_deleted_join, top - 1),
+                           (index_lower_bound_deleted_product, top - r)):
+            try:
+                lower = bound(ti).lower
+            except (SizeThresholdError, InapplicableError):
+                continue
+            assert lower <= dim + 1, (ti, bound.__name__)
+            claims += 1
+            tight += lower == dim + 1
+    assert (claims, tight) == (1216, 83)
+    # both bounds are tight on (2, 2, 2) at r = 3, whose deleted join has
+    # dimension 5 and deleted product dimension 3
+    ti = TheoremInstance(d=2, k=2, m_large=0, p=3, n=1, sizes=(2, 2, 2))
+    rainbow = rainbow_complex([2, 2, 2])[0]
+    assert index_lower_bound_deleted_join(ti).lower == 6 == deleted_join(rainbow, 3).dim + 1
+    assert index_lower_bound_deleted_product(ti).lower == 4 == deleted_product(rainbow, 3).dim + 1

@@ -235,6 +235,60 @@ def test_witness_verify_rejects_tampering():
         overlapping.verify(RADON)
 
 
+# four points on the line, classes (0, 1) and (2, 3): the faces {0, 3} and
+# {1, 2} span [0, 2] and [1, 3], and both reproduce the point 1
+LINE = _config(1, [(0,), (3,), (1,), (2,)], [(0, 1), (2, 3)])
+HALF, ZERO, ONE = Fraction(1, 2), Fraction(0), Fraction(1)
+LINE_WITNESS = Witness(
+    (RainbowFace(((0, 0), (1, 3))), RainbowFace(((0, 1), (1, 2)))),
+    (ONE,),
+    ((HALF, HALF), (ZERO, ONE)),
+)
+
+
+def test_the_line_witness_verifies():
+    LINE_WITNESS.verify(LINE)
+
+
+def test_witness_verify_rejects_fewer_weight_vectors_than_faces():
+    w = LINE_WITNESS
+    with pytest.raises(ValueError, match="one weight vector per face"):
+        Witness(w.faces, w.point, w.weights[:1]).verify(LINE)
+
+
+def test_witness_verify_rejects_a_face_with_two_points_of_one_class():
+    # points 0 and 1 both lie in class 0; the face states point 1 as color 1
+    both = Witness((RainbowFace(((0, 0), (1, 1))),), (ZERO,), ((ONE, ZERO),))
+    with pytest.raises(ValueError, match="not in color class"):
+        both.verify(LINE)
+
+
+def test_witness_verify_rejects_a_point_outside_its_stated_class():
+    # point 2 lies in class 1, not 0
+    wrong = Witness((RainbowFace(((0, 2),)),), (ONE,), ((ONE,),))
+    with pytest.raises(ValueError, match="not in color class"):
+        wrong.verify(LINE)
+
+
+def test_witness_verify_rejects_a_common_point_with_extra_coordinates():
+    w = LINE_WITNESS
+    with pytest.raises(ValueError, match="coordinates"):
+        Witness(w.faces, (*w.point, ZERO), w.weights).verify(LINE)
+
+
+def test_witness_verify_rejects_a_witness_with_no_faces():
+    with pytest.raises(ValueError, match="at least one face"):
+        Witness((), LINE_WITNESS.point, ()).verify(LINE)
+
+
+@pytest.mark.parametrize("v", [4, -1])
+def test_witness_verify_rejects_a_point_out_of_range(v):
+    # -1 would otherwise be read as the last point, 4 raise IndexError
+    outside = Witness((RainbowFace(((1, v),)),), (Fraction(2),), ((ONE,),))
+    with pytest.raises(ValueError, match="not in color class"):
+        outside.verify(LINE)
+
+
 # -- instance generation --------------------------------------------------------------
 
 
