@@ -269,7 +269,10 @@ def main(argv=None) -> int:
         if args.out:
             out = open(args.out, "w", encoding="utf-8")
         result, code = args.run(args)
-    except (ValueError, OSError, FaceBudgetError, DecompositionError) as exc:
+    # RecursionError and OverflowError come from input files: brackets
+    # nested too deeply for the JSON parser, a vertex count too large to index
+    except (ValueError, OSError, RecursionError, OverflowError,
+            FaceBudgetError, DecompositionError) as exc:
         result, code = _error_result(exc), 1
     report = {
         "input_echo": echo,

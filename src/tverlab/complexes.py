@@ -83,7 +83,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_budget(count: int, budget: int, what: str) -> None:
+def _check_budget(count: int, budget, what: str) -> None:
+    """Raise ``FaceBudgetError`` when ``count`` faces exceed ``budget``
+    (``default_face_budget()`` when None)."""
+    if budget is None:
+        budget = default_face_budget()
     if count > budget:
         raise FaceBudgetError(
             f"{what} needs more than the face budget of {budget}; "
@@ -380,6 +384,7 @@ def discrete_points(count: int, *, budget=None) -> SimplicialComplex:
     """`count` isolated vertices."""
     if count < 0:
         raise ValueError("count must be nonnegative")
+    _check_budget(count, budget, f"discrete_points({count})")
     return SimplicialComplex(
         count, ((v,) for v in range(count)), closed=True, budget=budget
     )
@@ -389,6 +394,7 @@ def full_simplex(dim: int, *, budget=None) -> SimplicialComplex:
     """The solid simplex on ``dim + 1`` vertices (all nonempty subsets)."""
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
+    _check_budget(2 ** (dim + 1) - 1, budget, f"full_simplex({dim})")
     verts = range(dim + 1)
     faces = (
         c for size in range(1, dim + 2) for c in itertools.combinations(verts, size)
@@ -400,6 +406,7 @@ def boundary_simplex(dim: int, *, budget=None) -> SimplicialComplex:
     """The boundary of the ``dim``-simplex, a triangulated (dim-1)-sphere."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    _check_budget(2 ** (dim + 1) - 2, budget, f"boundary_simplex({dim})")
     verts = range(dim + 1)
     faces = (
         c for size in range(1, dim + 1) for c in itertools.combinations(verts, size)

@@ -10,6 +10,7 @@ budget exhaustion is reported distinctly from an exhaustive "none".
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 import re
@@ -135,21 +136,27 @@ class RainbowFace:
 
 def enumerate_rainbow_faces(config: ColoredConfiguration, max_dim=None) -> list[RainbowFace]:
     """All nonempty rainbow faces of dimension at most ``max_dim`` (no cap
-    when None), in deterministic lexicographic order of the color choices."""
-    choice_lists = [
-        [None] + list(block) for block in config.coloring.classes
-    ]
-    out = []
-    for combo in itertools.product(*choice_lists):
-        members = tuple(
-            (ci, v) for ci, v in enumerate(combo) if v is not None
-        )
-        if not members:
-            continue
-        if max_dim is not None and len(members) - 1 > max_dim:
-            continue
-        out.append(RainbowFace(members))
-    return out
+    when None), in the order the witness search tries them: larger faces
+    first, then by color set, then by sorted vertex tuple."""
+    return _rainbow_faces(config, _rainbow_tuples(config, max_dim))
+
+
+def _rainbow_tuples(config: ColoredConfiguration, max_dim):
+    """The faces of ``enumerate_rainbow_faces``, lazily, as vertex tuples."""
+    classes = config.color_classes
+    top = len(classes) if max_dim is None else min(max_dim + 1, len(classes))
+    for size in range(top, 0, -1):
+        for blocks in itertools.combinations(classes, size):
+            group = itertools.product(*blocks)
+            # already in sorted-vertex order when each class lies below the next
+            if any(a[-1] > b[0] for a, b in zip(blocks, blocks[1:])):
+                group = sorted(tuple(sorted(vs)) for vs in group)
+            yield from group
+
+
+def _rainbow_faces(config: ColoredConfiguration, vertex_tuples) -> list[RainbowFace]:
+    color_of = {v: c for c, block in enumerate(config.color_classes) for v in block}
+    return [RainbowFace(tuple((color_of[v], v) for v in vs)) for vs in vertex_tuples]
 
 
 # -- exact LP feasibility -----------------------------------------------------
@@ -324,25 +331,23 @@ def find_disjoint_intersecting_family(
     """Depth-first search for q pairwise disjoint rainbow faces with
     intersecting hulls.
 
-    Faces are tried larger-first (bigger hulls meet more easily), then by
-    color signature and vertex order; the family is built in ascending face
-    order.  A partial family is extended only while its hulls already
-    intersect, which is sound because adding a face can only shrink the
-    intersection.  Deterministic: equal inputs give the identical result.
+    Faces are tried in the order of ``enumerate_rainbow_faces``, larger
+    first (bigger hulls meet more easily), and generated as they are read;
+    the family is built in ascending face order.  A partial family is
+    extended only while its hulls already intersect, which is sound because
+    adding a face can only shrink the intersection.  Deterministic: equal
+    inputs give the identical result.
 
     Without ``lp_budget`` the search is exhaustive: it makes at most one hull
     query per increasing family (in the face order above) of at most q
     pairwise disjoint rainbow faces, and ends "found" or "none".
     ``lp_budget`` is the bound on hull queries; a search that reaches it
-    ends "budget".
+    ends "budget", having generated only the faces it scanned.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     if max_dim is None:
         max_dim = min(config.d, config.coloring.n_colors - 1)
-    faces = enumerate_rainbow_faces(config, max_dim)
-    faces.sort(key=lambda f: (-len(f), f.colors, f.vertices))
-
     stats = {"queries": 0, "nodes": 0}
 
     def query(family):
@@ -351,11 +356,9 @@ def find_disjoint_intersecting_family(
         stats["queries"] += 1
         return hulls_intersect(family, config)
 
-    def extend(start, chosen, used):
-        for idx in range(start, len(faces)):
-            face = faces[idx]
-            verts = set(face.vertices)
-            if used & verts:
+    def extend(rest, chosen, used):
+        for face in rest:
+            if not used.isdisjoint(face):
                 continue
             stats["nodes"] += 1
             res = query(chosen + [face])
@@ -363,14 +366,15 @@ def find_disjoint_intersecting_family(
                 continue
             if len(chosen) + 1 == q:
                 point, weights = res
-                return Witness(tuple(chosen + [face]), point, weights)
-            deeper = extend(idx + 1, chosen + [face], used | verts)
+                return Witness(tuple(_rainbow_faces(config, chosen + [face])), point, weights)
+            # rest is a tee object: its copy reads on after this face
+            deeper = extend(copy.copy(rest), chosen + [face], used.union(face))
             if deeper is not None:
                 return deeper
         return None
 
     try:
-        witness = extend(0, [], set())
+        witness = extend(itertools.tee(_rainbow_tuples(config, max_dim), 1)[0], [], set())
     except _BudgetExhausted:
         return SearchResult("budget", None, stats["queries"], stats["nodes"])
     if witness is None:

@@ -2,8 +2,9 @@
 
 Everything here re-derives answers from first principles along a different
 code path: brute-force predicate enumeration for board complexes, deleted
-joins and deleted products, a plain dense row-reduction for ranks mod p, and
-exact orientation predicates for planar hull intersection.  Beside them,
+joins and deleted products, a plain dense row-reduction for ranks mod p, the
+rainbow faces of a coloring by product and sort, and exact orientation
+predicates for planar hull intersection.  Beside them,
 ``mod_matrix`` builds a matrix for the rank engine from ``(row, value)``
 columns.
 """
@@ -182,6 +183,22 @@ def mod_matrix(nrows, p, cols):
         rows.append(tuple(low_first))
         values.append(tuple(col[i] % p for i in low_first))
     return ModMatrix(nrows, p, rows, values)
+
+
+# -- rainbow faces in the search's order -------------------------------------
+
+
+def rainbow_faces_by_product(classes, max_dim=None):
+    """Every nonempty rainbow face of dimension at most ``max_dim`` (no cap
+    when None) as sorted (color, vertex) members: one point or none per
+    class, then sorted larger first, by colors, then by sorted vertices."""
+    faces = []
+    for combo in itertools.product(*([None, *block] for block in classes)):
+        members = tuple((c, v) for c, v in enumerate(combo) if v is not None)
+        if members and (max_dim is None or len(members) - 1 <= max_dim):
+            faces.append(members)
+    return sorted(faces, key=lambda face: (
+        -len(face), [c for c, _ in face], sorted(v for _, v in face)))
 
 
 # -- planar hull-intersection oracle ------------------------------------------

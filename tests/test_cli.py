@@ -382,7 +382,8 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
 # known to pass the budget (or its labels built first), a deleted join
 # that rebuilt every partial tuple at every copy, a deleted product that
 # carried k - 1 vertex masks per partial tuple, or r = p**n computed for
-# a bundle whose r has millions of digits
+# a bundle whose r has millions of digits; a point set too large to label
+# raised OverflowError instead of its budget error
 @pytest.mark.parametrize(
     "argv,code,result",
     [
@@ -397,9 +398,12 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
          {"total_cells": 1}),
         (["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "3", "--n", "30000000",
           "--sizes", "1,1,1"], 1, {"error_type": "ValueError"}),
+        (["--face-budget", "1000", "hconn", "--points", str(10 ** 30)], 1,
+         {"error_type": "FaceBudgetError"}),
     ],
     ids=["chessboard", "deleted-product", "deleted-join", "deleted-join-labels",
-         "deleted-join-one-point", "deleted-product-wise", "verify-theorem-huge-r"],
+         "deleted-join-one-point", "deleted-product-wise", "verify-theorem-huge-r",
+         "points-huge"],
 )
 def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, result):
     proc = fresh_python("-m", "tverlab.cli", *argv)
@@ -410,12 +414,15 @@ def test_builder_stops_once_the_outcome_is_known(fresh_python, argv, code, resul
     assert result.items() <= report["result"].items()
 
 
-# the child's own peak RSS, in KiB on Linux, written to stderr after main
+# the child's own peak RSS in KiB (Linux), written to stderr after main.
+# It is read from VmHWM: ru_maxrss of a spawned child starts at the peak of
+# the process that spawned it, here the test runner
 PEAK_RSS = """
-import resource, sys
+import sys
 from tverlab.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -439,3 +446,47 @@ def test_wiseness_far_above_the_copies_stays_small_in_memory(fresh_python, comma
     report = json.loads(out)
     assert report["input_echo"]["wise"] == 100000
     assert int(err) < 120 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv,code,result,limit_mb",
+    [
+        # 277 MB when the points were built before the budget was checked
+        (["--face-budget", "1000", "hconn", "--points", "2000000"], 1,
+         {"error_type": "FaceBudgetError"}, 120),
+        # 300 MB and about 4 s when all 531,440 rainbow faces were listed
+        # and sorted before the one hull query
+        (["experiment", "--d", "2", "--k", "2", "--m", "0", "--p", "2", "--n", "1",
+          "--sizes", "80,80,80", "--trials", "1", "--seed", "1", "--lp-budget", "10"], 0,
+         {"hull_queries_total": 1}, 50),
+    ],
+    ids=["points-over-budget", "search-on-a-budget"],
+)
+def test_work_stops_with_the_budget(fresh_python, argv, code, result, limit_mb):
+    proc = fresh_python("-c", PEAK_RSS, *argv)
+    out, err = proc.communicate(timeout=10)
+    assert proc.returncode == code
+    assert result.items() <= json.loads(out)["result"].items()
+    assert int(err) < limit_mb * 1024
+
+
+@pytest.mark.parametrize(
+    "argv,text,error_type",
+    [
+        (["tverberg-search", "--config", "{file}", "--q", "2"],
+         "[" * 200_000 + "]" * 200_000, "RecursionError"),
+        (["betti", "--complex", "{file}"], "[" * 200_000 + "]" * 200_000, "RecursionError"),
+        (["betti", "--complex", "{file}"],
+         json.dumps({"vertices": 10 ** 30, "faces": []}), "OverflowError"),
+    ],
+    ids=["config-nested", "complex-nested", "complex-huge-vertex-count"],
+)
+def test_malformed_input_file_gives_one_report(tmp_path, capsys, argv, text, error_type):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [arg.format(file=path) for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert json.loads(captured.out)["result"]["error_type"] == error_type

@@ -445,6 +445,25 @@ def test_budget_guard_fires():
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: discrete_points(2000, budget=1000),
+        lambda: full_simplex(20, budget=1000),
+        lambda: boundary_simplex(20, budget=1000),
+    ],
+    ids=["discrete_points", "full_simplex", "boundary_simplex"],
+)
+def test_elementary_builders_check_the_budget_before_building(monkeypatch, build):
+    # each count has a closed form, so no face need be made to refuse it
+    def no_complex(*args, **kwargs):
+        raise AssertionError("a complex was built before the budget was checked")
+
+    monkeypatch.setattr(complexes, "SimplicialComplex", no_complex)
+    with pytest.raises(FaceBudgetError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda budget: chessboard(3, 4, budget=budget),
         lambda budget: deleted_join(discrete_points(4), 3, 2, budget=budget),
         lambda budget: deleted_join(boundary_simplex(2), 3, 3, budget=budget),
@@ -452,6 +471,9 @@ def test_budget_guard_fires():
         # 2100 triples of disjoint nonempty faces could start them
         lambda budget: deleted_product(full_simplex(5), 6, 2, budget=budget),
         lambda budget: deleted_product(boundary_simplex(2), 3, 3, budget=budget),
+        lambda budget: discrete_points(7, budget=budget),
+        lambda budget: full_simplex(4, budget=budget),
+        lambda budget: boundary_simplex(4, budget=budget),
     ],
 )
 def test_budget_counts_the_distinct_faces_built(build):

@@ -20,7 +20,12 @@ from tverlab.geometry import (
     verify_theorem_empirically,
 )
 
-from oracles import check_certificate, oracle_hulls_intersect_pair, random_rational_faces
+from oracles import (
+    check_certificate,
+    oracle_hulls_intersect_pair,
+    rainbow_faces_by_product,
+    random_rational_faces,
+)
 
 
 def _config(d, pts, blocks):
@@ -198,28 +203,45 @@ def test_exhaustive_none_is_distinct_from_budget():
     assert starved.status == "budget"
 
 
+def _dealt(cfg, seed):
+    """``cfg``'s points with its class sizes dealt out in a shuffled vertex
+    order, so that the classes interleave."""
+    order = list(range(cfg.n_points))
+    random.Random(seed).shuffle(order)
+    blocks = []
+    for block in cfg.color_classes:
+        blocks.append(tuple(order[:len(block)]))
+        del order[:len(block)]
+    return ColoredConfiguration(cfg.d, cfg.points, Coloring(tuple(blocks)))
+
+
 def test_pruned_search_matches_unpruned_enumeration():
     # the DFS prunes on prefix infeasibility; compare against checking every
-    # disjoint family in the same order with a single full-tuple test
+    # disjoint family in the reference face order with a single full-tuple
+    # test, on consecutive blocks and on interleaved classes
+    interleaved = 0
     for seed in range(6):
-        cfg = random_configuration(2, [2, 2, 2], seed=seed, coordinate_bound=5)
-        q = 2
-        faces = enumerate_rainbow_faces(cfg, max_dim=min(cfg.d, 2))
-        faces.sort(key=lambda f: (-len(f), f.colors, f.vertices))
-        expected = None
-        for combo in itertools.combinations(range(len(faces)), q):
-            family = [faces[i] for i in combo]
-            used = list(itertools.chain.from_iterable(f.vertices for f in family))
-            if len(used) != len(set(used)):
-                continue
-            if hulls_intersect(family, cfg) is not None:
-                expected = tuple(f.vertices for f in family)
-                break
-        res = find_disjoint_intersecting_family(cfg, q)
-        actual = (
-            tuple(f.vertices for f in res.witness.faces) if res.found else None
-        )
-        assert actual == expected
+        blocks = random_configuration(2, [2, 2, 2], seed=seed, coordinate_bound=5)
+        for cfg in (blocks, _dealt(blocks, seed)):
+            classes = cfg.color_classes
+            interleaved += any(a[-1] > b[0] for a, b in zip(classes, classes[1:]))
+            q = 2
+            faces = [tuple(sorted(v for _, v in members))
+                     for members in rainbow_faces_by_product(classes, max_dim=min(cfg.d, 2))]
+            expected = None
+            for family in itertools.combinations(faces, q):
+                used = list(itertools.chain.from_iterable(family))
+                if len(used) != len(set(used)):
+                    continue
+                if hulls_intersect(family, cfg) is not None:
+                    expected = family
+                    break
+            res = find_disjoint_intersecting_family(cfg, q)
+            actual = (
+                tuple(f.vertices for f in res.witness.faces) if res.found else None
+            )
+            assert actual == expected
+    assert interleaved >= 5
 
 
 def test_witness_verify_rejects_tampering():
@@ -347,6 +369,26 @@ def test_counterexample_reports_carry_the_configuration():
     # either way the run is exploratory and recorded
     assert report.mode == "exploratory"
     assert report.successes + len(report.counterexamples) == 1
+
+
+# seeded totals, d = 2, m = 0, seed 1: the face order, the pruning and the
+# budget all move them
+@pytest.mark.parametrize(
+    "sizes,p,n,q,trials,found,queries,nodes",
+    [
+        ((4, 4, 4), 2, 2, None, 20, 20, 2095, 2095),
+        ((2, 2, 2), 3, 1, None, 30, 30, 124, 124),
+        ((2, 2, 2), 3, 1, 3, 30, 0, 6053, 6053),
+    ],
+    ids=["r4", "r3", "r3-q3"],
+)
+def test_seeded_search_counts(sizes, p, n, q, trials, found, queries, nodes):
+    ti = TheoremInstance(d=2, k=2, m_large=0, p=p, n=n, sizes=sizes)
+    report = verify_theorem_empirically(ti, trials, seed=1, q=q)
+    assert report.successes == found
+    assert len(report.counterexamples) == trials - found
+    assert sum(t.hull_queries for t in report.trials) == queries
+    assert sum(t.nodes for t in report.trials) == nodes
 
 
 def test_experiment_is_deterministic():

@@ -1,5 +1,7 @@
 import gc
+import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -544,9 +546,20 @@ def test_prebuilt_chain_complex_over_another_prime_is_rejected():
     assert betti_numbers(cc, 3).betti == (0, 4, 0)
 
 
-def test_import_loads_no_numpy(fresh_python):
-    # tverlab has no runtime dependencies; a fresh interpreter that loads
-    # every public name shows it
-    code = "from tverlab import *; import sys; assert 'numpy' not in sys.modules"
-    proc = fresh_python("-c", code)
-    assert proc.wait(timeout=60) == 0, proc.stderr.read()
+# the top-level modules that importing every tverlab module adds to a fresh
+# interpreter; the baseline is taken first, since site may already have
+# loaded third-party modules (certifi, _distutils_hack) of its own
+NEW_TOP_LEVEL_MODULES = """
+import json, sys
+before = set(sys.modules)
+import tverlab.cli, tverlab.complexes, tverlab.homology, tverlab.bounds, tverlab.geometry
+print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+"""
+
+
+def test_import_loads_only_the_standard_library(fresh_python):
+    # tverlab has no runtime dependency
+    out, err = fresh_python("-c", NEW_TOP_LEVEL_MODULES).communicate(timeout=60)
+    added = json.loads(out)
+    assert "tverlab" in added, err
+    assert [m for m in added if m != "tverlab" and m not in sys.stdlib_module_names] == []

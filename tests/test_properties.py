@@ -1,6 +1,7 @@
 """Property tests: random small complexes against the independent oracles,
 the reduced Euler identity, and invariance under relabelling vertices; the
-exact hull LP against a planar oracle; JSON round trips.  The hypothesis
+exact hull LP against a planar oracle; the rainbow-face order against a
+product-and-sort oracle; JSON round trips.  The hypothesis
 profile is set in ``conftest.py``."""
 
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from tverlab.complexes import Coloring, SimplicialComplex, deleted_join, deleted_product
-from tverlab.geometry import ColoredConfiguration, hulls_intersect
+from tverlab.geometry import ColoredConfiguration, enumerate_rainbow_faces, hulls_intersect
 from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain_complex
 
 from oracles import (
@@ -21,6 +22,7 @@ from oracles import (
     oracle_boundary_columns,
     oracle_cellular_betti,
     oracle_hulls_meet_2d,
+    rainbow_faces_by_product,
     stored_columns,
 )
 
@@ -150,3 +152,11 @@ def configurations(draw):
 def test_configuration_json_round_trip(config):
     doc = json.loads(json.dumps(config.to_dict()))
     assert ColoredConfiguration.from_dict(doc) == config
+
+
+@given(configurations(), st.sampled_from([None, -1, 0, 1, 2, 10]))
+def test_rainbow_faces_come_in_the_search_order(config, max_dim):
+    # the classes interleave in many draws, so the generator's sorted
+    # groups are exercised as well as its plain products
+    faces = enumerate_rainbow_faces(config, max_dim)
+    assert [f.members for f in faces] == rainbow_faces_by_product(config.color_classes, max_dim)
