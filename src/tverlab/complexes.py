@@ -173,11 +173,14 @@ class SimplicialComplex(_GradedCells):
     stored.  Equality compares vertex counts and face sets (labels are
     presentation data and do not participate).
 
-    ``faces`` may list a face in any vertex order and more than once; a
-    vertex that is not an ``int`` in 0..n_vertices-1 raises ``ValueError``.
-    ``closed=True`` is the caller's promise that ``faces`` is already closed
-    under taking faces; it is not checked, and homology of a complex that
-    breaks it raises ``ValueError``.
+    The constructor canonicalizes caller input: ``faces`` may list a face
+    in any vertex order and more than once; a vertex that is not an ``int``
+    in 0..n_vertices-1 raises ``ValueError``.  ``closed=True`` is the
+    caller's promise that ``faces`` is already closed under taking faces;
+    it is not checked, and homology of a complex that breaks it raises
+    ``ValueError``.  Default labels, ``0..n_vertices-1``, count against the
+    face budget before they are made.  The builders of this module make
+    canonical faces and hand them to ``_from_graded``, which checks nothing.
     """
 
     __slots__ = ("n_vertices", "labels", "_label_index")
@@ -189,6 +192,7 @@ class SimplicialComplex(_GradedCells):
             budget = default_face_budget()
         self.n_vertices = n_vertices
         if labels is None:
+            _check_budget(n_vertices, budget, f"labelling {n_vertices} vertices")
             labels = tuple(range(n_vertices))
         else:
             labels = tuple(labels)
@@ -216,6 +220,16 @@ class SimplicialComplex(_GradedCells):
             graded[length - 1] = fs
         super().__init__(graded)
         self._label_index = None
+
+    @classmethod
+    def _from_graded(cls, n_vertices: int, graded: dict, labels) -> "SimplicialComplex":
+        """The complex whose d-faces are ``graded[d]``, stored unchecked: the
+        caller promises sorted tuples of distinct ascending faces on
+        0..n_vertices-1, closed under taking faces, and one label per vertex."""
+        self = cls.__new__(cls)
+        _GradedCells.__init__(self, {d: fs for d, fs in graded.items() if fs})
+        self.n_vertices, self.labels, self._label_index = n_vertices, tuple(labels), None
+        return self
 
     # -- basic queries -------------------------------------------------
 
@@ -343,6 +357,13 @@ def _sorted_distinct(faces: list) -> tuple:
     return tuple(itertools.compress(faces, keep))
 
 
+def _graded(faces: list) -> dict:
+    """Distinct ascending faces as the store keeps them: per dimension, one
+    sorted tuple (reorders ``faces`` by length in place)."""
+    faces.sort(key=len)
+    return {length - 1: tuple(sorted(group)) for length, group in itertools.groupby(faces, len)}
+
+
 class ProductCellComplex(_GradedCells):
     """Cell complex whose cells are tuples of nonempty faces of a base complex.
 
@@ -385,9 +406,7 @@ def discrete_points(count: int, *, budget=None) -> SimplicialComplex:
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_budget(count, budget, f"discrete_points({count})")
-    return SimplicialComplex(
-        count, ((v,) for v in range(count)), closed=True, budget=budget
-    )
+    return SimplicialComplex._from_graded(count, {0: tuple(zip(range(count)))}, range(count))
 
 
 def full_simplex(dim: int, *, budget=None) -> SimplicialComplex:
@@ -395,11 +414,9 @@ def full_simplex(dim: int, *, budget=None) -> SimplicialComplex:
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     _check_budget(2 ** (dim + 1) - 1, budget, f"full_simplex({dim})")
-    verts = range(dim + 1)
-    faces = (
-        c for size in range(1, dim + 2) for c in itertools.combinations(verts, size)
-    )
-    return SimplicialComplex(dim + 1, faces, closed=True, budget=budget)
+    verts = range(dim + 1)  # combinations come in lexicographic order
+    graded = {size - 1: tuple(itertools.combinations(verts, size)) for size in range(1, dim + 2)}
+    return SimplicialComplex._from_graded(dim + 1, graded, verts)
 
 
 def boundary_simplex(dim: int, *, budget=None) -> SimplicialComplex:
@@ -408,10 +425,8 @@ def boundary_simplex(dim: int, *, budget=None) -> SimplicialComplex:
         raise ValueError("dimension must be at least 1")
     _check_budget(2 ** (dim + 1) - 2, budget, f"boundary_simplex({dim})")
     verts = range(dim + 1)
-    faces = (
-        c for size in range(1, dim + 1) for c in itertools.combinations(verts, size)
-    )
-    return SimplicialComplex(dim + 1, faces, closed=True, budget=budget)
+    graded = {size - 1: tuple(itertools.combinations(verts, size)) for size in range(1, dim + 1)}
+    return SimplicialComplex._from_graded(dim + 1, graded, verts)
 
 
 def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
@@ -431,14 +446,13 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
         count += math.comb(m, s) * math.perm(n, s)
         _check_budget(count, budget, f"chessboard({m},{n})")
     labels = tuple((i + 1, j + 1) for i in range(m) for j in range(n))
-    # rows ascend within a face, so row*n + col ascends with them
-    faces = [
+    # rows ascend within a face, so row*n + col ascends with them; the faces
+    # come by rows, then by columns, so each size is sorted once
+    graded = {size - 1: tuple(sorted(
         tuple(map(operator.add, rows, cols))
-        for size in sizes
         for rows in itertools.combinations(range(0, m * n, n), size)
-        for cols in itertools.permutations(range(n), size)
-    ]
-    return SimplicialComplex(m * n, faces, labels, closed=True, budget=budget)
+        for cols in itertools.permutations(range(n), size))) for size in sizes}
+    return SimplicialComplex._from_graded(m * n, graded, labels)
 
 
 def rainbow_complex(sizes, *, budget=None):
@@ -454,8 +468,8 @@ def rainbow_complex(sizes, *, budget=None):
     if budget is None:
         budget = default_face_budget()
     _check_budget(math.prod(s + 1 for s in sizes) - 1, budget, f"rainbow complex of sizes {sizes}")
-    classes = [SimplicialComplex(s, ((v,) for v in range(s)), range(1, s + 1),
-                                 closed=True, budget=budget) for s in sizes]
+    classes = [SimplicialComplex._from_graded(s, {0: tuple(zip(range(s)))}, range(1, s + 1))
+               for s in sizes]
     offsets = list(itertools.accumulate(sizes, initial=0))
     coloring = Coloring(tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:])))
     return join_many(classes, budget=budget), coloring
@@ -480,22 +494,13 @@ def join_many(factors, *, budget=None) -> SimplicialComplex:
         offsets.append(offsets[-1] + fac.n_vertices)
         labels.extend((fi + 1, lab) for lab in fac.labels)
 
-    per_factor = []
-    for fi, fac in enumerate(factors):
-        off = offsets[fi]
-        shifted = [()]
-        for f in fac.faces():
-            shifted.append(tuple(off + v for v in f))
-        per_factor.append(shifted)
-
-    faces = []
-    for combo in itertools.product(*per_factor):
-        face = tuple(itertools.chain.from_iterable(combo))
-        if face:
-            faces.append(face)
-    return SimplicialComplex(
-        offsets[-1], faces, tuple(labels), closed=True, budget=budget
-    )
+    # the factors' vertices come in ascending blocks, so every face is sorted;
+    # the first choice, the empty face of each factor, is left out
+    per_factor = [[(), *(tuple(map(off.__add__, f)) for f in fac.faces())]
+                  for off, fac in zip(offsets, factors)]
+    faces = list(map(tuple, map(itertools.chain.from_iterable,
+                                itertools.islice(itertools.product(*per_factor), 1, None))))
+    return SimplicialComplex._from_graded(offsets[-1], _graded(faces), labels)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex, *, budget=None) -> SimplicialComplex:
@@ -584,7 +589,7 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
             remap = [c * nb + v for c in copies for v in range(nb)]
             faces += [tuple(map(remap.__getitem__, f)) for f in level]
     labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
-    return SimplicialComplex(n * nb, faces, labels, closed=True, budget=budget)
+    return SimplicialComplex._from_graded(n * nb, _graded(faces), labels)
 
 
 def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> ProductCellComplex:

@@ -71,56 +71,63 @@ class ModMatrix:
         ``skip`` their number is the rank.
         """
         p = self.p
-        pivots = {}  # per lowest row, its pivot: as stored (a tuple), or converted
+        # per lowest row, its pivot: as stored (a tuple), or converted
+        pivots = [None] * self.nrows
+        placed = []  # the rows given a pivot
         if p == 2:
             for j, rows in enumerate(self.rows):
                 if not rows or j in skip:
                     continue
                 low = rows[0]
-                other = pivots.get(low)
+                other = pivots[low]
                 if other is None:
                     pivots[low] = rows
+                    placed.append(low)
                     continue
                 if type(other) is tuple:
                     other = pivots[low] = _mask(other)
                 mask = _mask(rows) ^ other
                 while mask:
                     low = mask.bit_length() - 1
-                    other = pivots.get(low)
+                    other = pivots[low]
                     if other is None:
                         pivots[low] = mask
+                        placed.append(low)
                         break
                     if type(other) is tuple:
                         other = pivots[low] = _mask(other)
                     mask ^= other
-            return set(pivots)
-        for j, col in enumerate(zip(self.rows, self.values)):
-            if not col[0] or j in skip:
-                continue
-            low = col[0][0]
-            if low not in pivots:
-                pivots[low] = col
-                continue
-            vec = dict(zip(*col))
-            while vec:
-                low = max(vec)
-                other = pivots.get(low)
-                if other is None:
-                    inv = pow(vec[low], -1, p)
-                    pivots[low] = {i: v * inv % p for i, v in vec.items()}
-                    break
-                if type(other) is tuple:
-                    inv = pow(other[1][0], -1, p)  # the value in the lowest row
-                    other = pivots[low] = {i: v * inv % p for i, v in zip(*other)}
-                c = vec[low]
-                for i, v in other.items():
-                    # v and c are units, so w == 0 only where vec has row i
-                    w = (vec.get(i, 0) - c * v) % p
-                    if w:
-                        vec[i] = w
-                    else:
-                        del vec[i]
-        return set(pivots)
+        else:
+            for j, col in enumerate(zip(self.rows, self.values)):
+                if not col[0] or j in skip:
+                    continue
+                low = col[0][0]
+                if pivots[low] is None:
+                    pivots[low] = col
+                    placed.append(low)
+                    continue
+                vec = dict(zip(*col))
+                while vec:
+                    low = max(vec)
+                    other = pivots[low]
+                    if other is None:
+                        inv = pow(vec[low], -1, p)
+                        pivots[low] = {i: v * inv % p for i, v in vec.items()}
+                        placed.append(low)
+                        break
+                    if type(other) is tuple:
+                        inv = pow(other[1][0], -1, p)  # the value in the lowest row
+                        other = pivots[low] = {i: v * inv % p for i, v in zip(*other)}
+                    c = vec[low]
+                    for i, v in other.items():
+                        # v and c are units, so w == 0 only where vec has row i
+                        w = (vec.get(i, 0) - c * v) % p
+                        if w:
+                            vec[i] = w
+                        else:
+                            del vec[i]
+        del pivots  # the reduced columns go before the set is made
+        return set(dict.fromkeys(placed))  # sized once, unlike a set grown row by row
 
 
 def _mask(rows: tuple) -> int:
@@ -230,6 +237,9 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
     boundary of that factor, the sign of factor i being (-1) to the total
     dimension of the preceding factors; summands whose factor would become
     empty are dropped, so 0-dimensional factors contribute nothing.
+
+    Each factor of a cell must be a sorted tuple; a product stores its
+    cells as given, so this is checked here, unlike in ``chain_complex``.
     """
     graded: list[dict] = [{} for _ in range(product.dim + 1)]
     for d, groups in enumerate(graded):
@@ -237,6 +247,11 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
             rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
             rows.append(row)
             keys.append(tuple(itertools.chain.from_iterable(cell)))
+        for shape, (_, keys) in groups.items():
+            positions = _positions(keys, sum(shape))
+            ends = itertools.accumulate(shape)  # one past each factor's last position
+            if not all(_ascending(positions[end - n:end]) for n, end in zip(shape, ends)):
+                raise ValueError("a factor of a cell is not a sorted tuple")
     return _assemble(graded, p)
 
 
@@ -279,15 +294,13 @@ def _assemble(graded, p: int) -> ChainComplexModP:
 def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
     """The boundary columns of one shape's cells (see ``_assemble``) as row
     tuples, and the values tuple they share, a vertex position at a time.
-    Rows follow the sorted cells, so with sorted factors a cell's first face,
-    which drops the least vertex of its first factor of two or more, is its
-    lowest row."""
+    Rows follow the sorted cells, so with sorted factors, which the caller
+    guarantees, a cell's first face, which drops the least vertex of its
+    first factor of two or more, is its lowest row."""
     positions = _positions(keys, sum(shape))
     faces, signs, pos = [], [], 0
     for i, length in enumerate(shape):
         if length > 1:
-            if not _ascending(positions[pos:pos + length]):
-                raise ValueError("a factor of a cell is not a sorted tuple")
             row_of = lower[shape[:i] + (length - 1,) + shape[i + 1:]].__getitem__
             for t in range(pos, pos + length):
                 faces.append(map(row_of, _drop_position(positions, t)))

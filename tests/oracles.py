@@ -2,7 +2,8 @@
 
 Everything here re-derives answers from first principles along a different
 code path: brute-force predicate enumeration for board complexes, deleted
-joins and deleted products, a plain dense row-reduction for ranks mod p, the
+joins and deleted products, a rebuild of any complex through the validating
+constructor, a plain dense row-reduction for ranks mod p, the
 rainbow faces of a coloring by product and sort, and exact orientation
 predicates for planar hull intersection.  Beside them,
 ``mod_matrix`` builds a matrix for the rank engine from ``(row, value)``
@@ -13,6 +14,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from tverlab.complexes import SimplicialComplex
 from tverlab.homology import ModMatrix
 
 
@@ -53,6 +55,12 @@ def deleted_product_by_product(base, n, k):
         if max(Counter(itertools.chain(*combo)).values()) < k
     ]
     return sorted(cells, key=lambda cell: (sum(map(len, cell)), cell))
+
+
+def rebuilt(complex_):
+    """``complex_`` rebuilt from its faces by the validating constructor,
+    which checks, sorts and deduplicates every face it is given."""
+    return SimplicialComplex(complex_.n_vertices, list(complex_.faces()), complex_.labels)
 
 
 def is_downward_closed(complex_):

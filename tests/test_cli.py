@@ -459,11 +459,17 @@ def test_wiseness_far_above_the_copies_stays_small_in_memory(fresh_python, comma
         (["experiment", "--d", "2", "--k", "2", "--m", "0", "--p", "2", "--n", "1",
           "--sizes", "80,80,80", "--trials", "1", "--seed", "1", "--lp-budget", "10"], 0,
          {"hull_queries_total": 1}, 50),
+        # several GB for a 10**8-entry tuple of default labels, when the
+        # labels were made before the budget saw them
+        (["--face-budget", "1000", "betti", "--complex", "{file}"], 1,
+         {"error_type": "FaceBudgetError"}, 50),
     ],
-    ids=["points-over-budget", "search-on-a-budget"],
+    ids=["points-over-budget", "search-on-a-budget", "vertices-over-budget"],
 )
-def test_work_stops_with_the_budget(fresh_python, argv, code, result, limit_mb):
-    proc = fresh_python("-c", PEAK_RSS, *argv)
+def test_work_stops_with_the_budget(tmp_path, fresh_python, argv, code, result, limit_mb):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": 10 ** 8, "faces": []}))
+    proc = fresh_python("-c", PEAK_RSS, *(arg.format(file=path) for arg in argv))
     out, err = proc.communicate(timeout=10)
     assert proc.returncode == code
     assert result.items() <= json.loads(out)["result"].items()
@@ -477,7 +483,7 @@ def test_work_stops_with_the_budget(fresh_python, argv, code, result, limit_mb):
          "[" * 200_000 + "]" * 200_000, "RecursionError"),
         (["betti", "--complex", "{file}"], "[" * 200_000 + "]" * 200_000, "RecursionError"),
         (["betti", "--complex", "{file}"],
-         json.dumps({"vertices": 10 ** 30, "faces": []}), "OverflowError"),
+         json.dumps({"vertices": 10 ** 30, "faces": []}), "FaceBudgetError"),
     ],
     ids=["config-nested", "complex-nested", "complex-huge-vertex-count"],
 )

@@ -434,6 +434,14 @@ def test_cells_with_an_unsorted_factor_are_rejected():
         cellular_chain_complex(edge, 2)
 
 
+def test_cells_with_an_unsorted_later_factor_are_rejected():
+    # the sortedness check covers every factor of a product cell, not only
+    # a cell's first: here the faces of (1, 0) are all cells one degree down
+    cells = [((0,), (1, 0)), ((0,), (0,)), ((0,), (1,))]
+    with pytest.raises(ValueError, match="not a sorted tuple"):
+        cellular_chain_complex(ProductCellComplex(full_simplex(1), 2, 3, cells), 2)
+
+
 def _pivot_rows_by_rank(dense, p, kept):
     """Row i is a pivot row of the reduction exactly when the rows from i
     down have larger rank, over the kept columns, than the rows below i."""

@@ -1,5 +1,6 @@
 """Property tests: random small complexes against the independent oracles,
-the reduced Euler identity, and invariance under relabelling vertices; the
+the reduced Euler identity, and invariance under relabelling vertices; every
+builder's faces against a rebuild by the validating constructor; the
 exact hull LP against a planar oracle; the rainbow-face order against a
 product-and-sort oracle; JSON round trips.  The hypothesis
 profile is set in ``conftest.py``."""
@@ -10,7 +11,18 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from tverlab.complexes import Coloring, SimplicialComplex, deleted_join, deleted_product
+from tverlab.complexes import (
+    Coloring,
+    SimplicialComplex,
+    boundary_simplex,
+    chessboard,
+    deleted_join,
+    deleted_product,
+    discrete_points,
+    full_simplex,
+    join_many,
+    rainbow_complex,
+)
 from tverlab.geometry import ColoredConfiguration, enumerate_rainbow_faces, hulls_intersect
 from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain_complex
 
@@ -23,6 +35,7 @@ from oracles import (
     oracle_cellular_betti,
     oracle_hulls_meet_2d,
     rainbow_faces_by_product,
+    rebuilt,
     stored_columns,
 )
 
@@ -104,6 +117,47 @@ def test_simplicial_boundary_columns_agree_with_oracle(c, p):
 def test_cellular_boundary_columns_agree_with_oracle(base, n, k, p):
     product = deleted_product(base, n, k)
     assert stored_columns(cellular_chain_complex(product, p)) == oracle_boundary_columns(product, p)
+
+
+def single_builds(scale):
+    """Complexes from one builder call each, joins and deleted joins aside,
+    their sizes bounded by ``scale``."""
+    return st.one_of(
+        st.builds(discrete_points, st.integers(0, scale + 1)),
+        st.builds(full_simplex, st.integers(0, scale)),
+        st.builds(boundary_simplex, st.integers(1, scale)),
+        st.builds(chessboard, st.integers(1, scale), st.integers(1, scale + 1)),
+        st.lists(st.integers(1, scale), min_size=1, max_size=3).map(
+            lambda sizes: rainbow_complex(sizes)[0]),
+    )
+
+
+@st.composite
+def small_deleted_joins(draw):
+    """An n-fold k-wise deleted join, n in {2, 3} and k in 2..n+1, of a small
+    base, since its faces grow as a power of the base's."""
+    base = draw(st.one_of(single_builds(2), complexes(max_vertices=4, max_facets=2)))
+    n = draw(st.integers(2, 3))
+    return deleted_join(base, n, draw(st.integers(2, n + 1)))
+
+
+built_complexes = st.one_of(
+    single_builds(3),
+    st.lists(single_builds(2), min_size=1, max_size=3).map(join_many),
+    small_deleted_joins(),
+)
+
+
+@given(built_complexes)
+def test_builders_hand_over_canonical_faces(c):
+    oracle = rebuilt(c)
+    assert c == oracle and c.labels == oracle.labels
+    assert list(c.faces()) == list(oracle.faces())
+    for d in range(c.dim + 1):
+        faces = c.faces_of_dim(d)
+        assert all(a < b for a, b in zip(faces, faces[1:]))
+    for p in (2, 3):
+        chain_complex(c, p).verify()
 
 
 # small coordinates, some halves: coincident points and collinear triples
