@@ -267,10 +267,8 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
     violations = threshold_violations(ti.sizes, r, m)
     needed = (d - k) * (r - 1)
     required = (d - 1) * (r - 1) + q
-    try:
-        achieved = index_lower_bound_deleted_product(ti).lower
-    except (SizeThresholdError, InapplicableError):
-        achieved = None
+    # the product bound d(r-1) is claimed exactly when these two hold
+    achieved = d * (r - 1) if not violations and m >= needed else None
 
     conditions = (
         Condition(

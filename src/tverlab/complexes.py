@@ -175,22 +175,19 @@ class SimplicialComplex(_GradedCells):
 
     The constructor canonicalizes caller input: ``faces`` may list a face
     in any vertex order and more than once; a vertex that is not an ``int``
-    in 0..n_vertices-1 raises ``ValueError``.  ``closed=True`` is the
-    caller's promise that ``faces`` is already closed under taking faces;
-    it is not checked, and homology of a complex that breaks it raises
-    ``ValueError``.  Default labels, ``0..n_vertices-1``, count against the
-    face budget before they are made.  The builders of this module make
+    in 0..n_vertices-1 raises ``ValueError``; every face of a given face
+    is added.  Default labels, ``0..n_vertices-1``, count against the face
+    budget before they are made.  The builders of this module make
     canonical faces and hand them to ``_from_graded``, which checks nothing.
     """
 
     __slots__ = ("n_vertices", "labels", "_label_index")
 
-    def __init__(self, n_vertices, faces, labels=None, *, closed=False, budget=None):
+    def __init__(self, n_vertices, faces, labels=None, *, budget=None):
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         if budget is None:
             budget = default_face_budget()
-        self.n_vertices = n_vertices
         if labels is None:
             _check_budget(n_vertices, budget, f"labelling {n_vertices} vertices")
             labels = tuple(range(n_vertices))
@@ -198,7 +195,6 @@ class SimplicialComplex(_GradedCells):
             labels = tuple(labels)
             if len(labels) != n_vertices:
                 raise ValueError("exactly one label per vertex required")
-        self.labels = labels
 
         # grouped by length in one sort, then taken longest first, so that the
         # closure has added all of a length before that length is read
@@ -211,15 +207,13 @@ class SimplicialComplex(_GradedCells):
             if not fs:  # no face of this length, or each lost a repeated vertex
                 continue
             count += len(fs)
-            _check_budget(count, budget, "storing the given faces" if closed
-                          else "computing the downward closure")
-            if not closed and length > 1:
-                positions = _positions(fs, length)
-                for t in range(length):
-                    pending.setdefault(length - 1, []).extend(_drop_position(positions, t))
+            _check_budget(count, budget, "computing the downward closure")
+            positions = _positions(fs, length)  # vertices add nothing: their faces are empty
+            for t in range(length):
+                pending.setdefault(length - 1, []).extend(_drop_position(positions, t))
             graded[length - 1] = fs
         super().__init__(graded)
-        self._label_index = None
+        self.n_vertices, self.labels, self._label_index = n_vertices, labels, None
 
     @classmethod
     def _from_graded(cls, n_vertices: int, graded: dict, labels) -> "SimplicialComplex":
@@ -323,7 +317,7 @@ def _canonical(faces: list, length: int, n_vertices: int, shorter: dict) -> list
         for f in faces:  # subclasses of int other than bool pass
             if not all(map(is_int, f)):
                 raise ValueError(f"face {f} has a vertex that is not an integer")
-    if not _ascending(positions):
+    if not all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:])):
         kept = []
         for f in map(tuple, map(sorted, map(set, faces))):
             (kept if len(f) == length else shorter.setdefault(len(f), [])).append(f)
@@ -340,11 +334,6 @@ def _positions(keys, length: int) -> list:
     return [list(map(operator.itemgetter(t), keys)) for t in range(length)]
 
 
-def _ascending(positions: list) -> bool:
-    """Whether every tuple of ``positions`` (see ``_positions``) ascends strictly."""
-    return all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:]))
-
-
 def _drop_position(positions: list, t: int):
     """The tuples of ``positions`` (see ``_positions``) without entry ``t``."""
     return zip(*positions[:t], *positions[t + 1:])
@@ -357,34 +346,40 @@ def _sorted_distinct(faces: list) -> tuple:
     return tuple(itertools.compress(faces, keep))
 
 
-def _graded(faces: list) -> dict:
-    """Distinct ascending faces as the store keeps them: per dimension, one
-    sorted tuple (reorders ``faces`` by length in place)."""
-    faces.sort(key=len)
-    return {length - 1: tuple(sorted(group)) for length, group in itertools.groupby(faces, len)}
-
-
 class ProductCellComplex(_GradedCells):
     """Cell complex whose cells are tuples of nonempty faces of a base complex.
 
     Cells are graded by the sum of the factor dimensions, in the store this
-    class shares with :class:`SimplicialComplex`.  The cell set must be
-    closed under replacing any factor by one of its nonempty codimension-1
-    faces, which is what the cellular boundary operator needs; this is not
-    checked, and homology of a cell set that is not closed raises
-    ``ValueError``.
+    class shares with :class:`SimplicialComplex`.  The constructor takes
+    cells in any order and more than once; an empty factor, or one that is
+    not a sorted tuple, raises ``ValueError``.  The cell set must be closed
+    under replacing any factor by one of its nonempty codimension-1 faces,
+    which the cellular boundary operator needs; this is not checked, and
+    homology of a cell set that is not closed raises ``ValueError``.
+    ``deleted_product`` hands its cells to ``_from_graded`` unchecked.
     """
 
     __slots__ = ("base", "n", "k")
 
     def __init__(self, base: SimplicialComplex, n: int, k: int, cells):
-        self.base = base
-        self.n = n
-        self.k = k
+        self.base, self.n, self.k = base, n, k
         by_dim: dict[int, list] = {}
         for cell in cells:
+            if not all(cell):
+                raise ValueError(f"cell {cell} has an empty factor")
+            if not all(all(map(operator.lt, f, f[1:])) for f in cell):
+                raise ValueError("a factor of a cell is not a sorted tuple")
             by_dim.setdefault(sum(map(len, cell)) - len(cell), []).append(cell)
         super().__init__({d: _sorted_distinct(cs) for d, cs in by_dim.items()})
+
+    @classmethod
+    def _from_graded(cls, base: SimplicialComplex, n: int, k: int, graded: dict):
+        """The product whose d-cells are ``graded[d]``, stored unchecked: the
+        caller promises nonempty sorted tuples of distinct cells of sorted factors."""
+        self = cls.__new__(cls)
+        _GradedCells.__init__(self, graded)
+        self.base, self.n, self.k = base, n, k
+        return self
 
     cell_count = _GradedCells._count
     cells_of_dim = _GradedCells._of_dim
@@ -498,9 +493,11 @@ def join_many(factors, *, budget=None) -> SimplicialComplex:
     # the first choice, the empty face of each factor, is left out
     per_factor = [[(), *(tuple(map(off.__add__, f)) for f in fac.faces())]
                   for off, fac in zip(offsets, factors)]
-    faces = list(map(tuple, map(itertools.chain.from_iterable,
-                                itertools.islice(itertools.product(*per_factor), 1, None))))
-    return SimplicialComplex._from_graded(offsets[-1], _graded(faces), labels)
+    faces = sorted(map(tuple, map(itertools.chain.from_iterable,
+                                  itertools.islice(itertools.product(*per_factor), 1, None))),
+                   key=len)
+    graded = {length - 1: tuple(sorted(group)) for length, group in itertools.groupby(faces, len)}
+    return SimplicialComplex._from_graded(offsets[-1], graded, labels)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex, *, budget=None) -> SimplicialComplex:
@@ -513,8 +510,9 @@ def join(a: SimplicialComplex, b: SimplicialComplex, *, budget=None) -> Simplici
 def _tuple_stream(base, n, k, payload, check):
     """n-tuples of nonempty faces of ``base`` in which every vertex appears
     in fewer than k faces, that is, every k of the faces intersect emptily.
-    Each tuple is returned as the concatenation of ``payload(copy, face)``
-    over its copies.
+    Each tuple is the concatenation of ``payload(copy, face)`` over its
+    copies, and the tuples, all distinct, come as ``{vertex count: list}``
+    with no empty list.
 
     Tuples grow one copy at a time from a pool of partial tuples, and a
     partial tuple is kept only if it extends to a full one: the vertex slots
@@ -537,7 +535,8 @@ def _tuple_stream(base, n, k, payload, check):
         room = slots - (n - copy - 1)
         opts = [(f_ones, size, payload(copy, f)) for f, f_ones, size in options]
         last = copy == n - 1
-        grown = []
+        grown = [[] for _ in range(room + 1)] if last else []  # the last by vertex count
+        made = 0
         for counts, taken, acc in pool:
             full = ((counts + ones) & top) >> b  # the vertices in k - 1 faces
             for f_ones, size, pay in opts:
@@ -546,14 +545,15 @@ def _tuple_stream(base, n, k, payload, check):
                 if f_ones & full:
                     continue
                 if last:
-                    grown.append(acc + pay)
+                    grown[taken + size].append(acc + pay)
                 else:
                     grown.append((counts + f_ones, taken + size, acc + pay))
-            check(len(grown))
+                made += 1
+            check(made)
         pool = grown
-        if not pool:  # no later copy can extend an empty pool
-            break
-    return pool
+        if not made:  # no later copy can extend an empty pool
+            return {}
+    return {count: level for count, level in enumerate(pool) if level}
 
 
 def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> SimplicialComplex:
@@ -580,16 +580,21 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
                               lambda size: _check_budget(count + ways * size, budget, what))
         if not level:  # dropping its last face would put a longer tuple here
             break
-        count += ways * len(level)
+        count += ways * sum(map(len, level.values()))
         levels.append(level)
-    faces = []
+    graded = {}
     for t, level in enumerate(levels, 1):
-        faces += level  # the first set of copies, 0..t-1, is the stream's own
-        for copies in itertools.islice(itertools.combinations(range(n), t), 1, None):
-            remap = [c * nb + v for c in copies for v in range(nb)]
-            faces += [tuple(map(remap.__getitem__, f)) for f in level]
+        # the first set of copies, 0..t-1, is the stream's own
+        remaps = [[c * nb + v for c in copies for v in range(nb)]
+                  for copies in itertools.islice(itertools.combinations(range(n), t), 1, None)]
+        for length, faces in level.items():
+            out = graded.setdefault(length - 1, [])
+            out += faces
+            for remap in remaps:
+                out += [tuple(map(remap.__getitem__, f)) for f in faces]
     labels = tuple((c + 1, base.labels[v]) for c in range(n) for v in range(nb))
-    return SimplicialComplex._from_graded(n * nb, _graded(faces), labels)
+    return SimplicialComplex._from_graded(
+        n * nb, {d: tuple(sorted(faces)) for d, faces in graded.items()}, labels)
 
 
 def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> ProductCellComplex:
@@ -604,7 +609,9 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
     what = f"{n}-fold deleted product"
     cells = _tuple_stream(base, n, k, lambda c, f: (f,),
                           lambda size: _check_budget(size, budget, what))
-    return ProductCellComplex(base, n, k, cells)
+    # a cell of v vertices in n factors has dimension v - n
+    return ProductCellComplex._from_graded(
+        base, n, k, {count - n: tuple(sorted(cs)) for count, cs in cells.items()})
 
 
 # -- the chessboard decomposition of the deleted join ------------------------

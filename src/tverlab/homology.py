@@ -17,8 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import (ProductCellComplex, SimplicialComplex, _ascending, _drop_position,
-                        _positions, is_prime)
+from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
 
 
 class ModMatrix:
@@ -236,10 +235,9 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
     The boundary of a cell is the signed sum over factors of the simplicial
     boundary of that factor, the sign of factor i being (-1) to the total
     dimension of the preceding factors; summands whose factor would become
-    empty are dropped, so 0-dimensional factors contribute nothing.
-
-    Each factor of a cell must be a sorted tuple; a product stores its
-    cells as given, so this is checked here, unlike in ``chain_complex``.
+    empty are dropped, so 0-dimensional factors contribute nothing.  The
+    store's factors are sorted tuples, which the product's constructor
+    checks, so they are not checked here.
     """
     graded: list[dict] = [{} for _ in range(product.dim + 1)]
     for d, groups in enumerate(graded):
@@ -247,11 +245,6 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
             rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
             rows.append(row)
             keys.append(tuple(itertools.chain.from_iterable(cell)))
-        for shape, (_, keys) in groups.items():
-            positions = _positions(keys, sum(shape))
-            ends = itertools.accumulate(shape)  # one past each factor's last position
-            if not all(_ascending(positions[end - n:end]) for n, end in zip(shape, ends)):
-                raise ValueError("a factor of a cell is not a sorted tuple")
     return _assemble(graded, p)
 
 
@@ -294,9 +287,9 @@ def _assemble(graded, p: int) -> ChainComplexModP:
 def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
     """The boundary columns of one shape's cells (see ``_assemble``) as row
     tuples, and the values tuple they share, a vertex position at a time.
-    Rows follow the sorted cells, so with sorted factors, which the caller
-    guarantees, a cell's first face, which drops the least vertex of its
-    first factor of two or more, is its lowest row."""
+    Rows follow the sorted cells, so with sorted factors, which both stores
+    keep, a cell's first face, which drops the least vertex of its first
+    factor of two or more, is its lowest row."""
     positions = _positions(keys, sum(shape))
     faces, signs, pos = [], [], 0
     for i, length in enumerate(shape):

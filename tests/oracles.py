@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from tverlab.complexes import SimplicialComplex
+from tverlab.complexes import ProductCellComplex, SimplicialComplex
 from tverlab.homology import ModMatrix
 
 
@@ -58,8 +58,10 @@ def deleted_product_by_product(base, n, k):
 
 
 def rebuilt(complex_):
-    """``complex_`` rebuilt from its faces by the validating constructor,
-    which checks, sorts and deduplicates every face it is given."""
+    """``complex_`` rebuilt from its cells by the validating constructor of
+    its class, which checks, sorts and deduplicates every cell it is given."""
+    if isinstance(complex_, ProductCellComplex):
+        return ProductCellComplex(complex_.base, complex_.n, complex_.k, list(complex_.cells()))
     return SimplicialComplex(complex_.n_vertices, list(complex_.faces()), complex_.labels)
 
 

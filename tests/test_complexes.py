@@ -378,7 +378,7 @@ def test_decomposition_error_when_face_counts_differ(monkeypatch):
     def without_top_faces(m, n, *, budget=None):
         b = board(m, n, budget=budget)
         return SimplicialComplex(b.n_vertices, (f for f in b.faces() if len(f) < min(m, n)),
-                                 b.labels, closed=True)
+                                 b.labels)
 
     monkeypatch.setattr(complexes, "chessboard", without_top_faces)
     with pytest.raises(DecompositionError, match="face counts differ: 6 vs 4"):
@@ -393,7 +393,7 @@ def test_decomposition_error_names_a_face_whose_image_is_not_a_face(monkeypatch)
         b = board(m, n, budget=budget)
         labels = list(b.labels)
         labels[0], labels[1] = labels[1], labels[0]
-        return SimplicialComplex(b.n_vertices, b.faces(), labels, closed=True)
+        return SimplicialComplex(b.n_vertices, b.faces(), labels)
 
     monkeypatch.setattr(complexes, "chessboard", swapped)
     with pytest.raises(DecompositionError, match="image of a face is not a face") as info:
@@ -498,10 +498,9 @@ def test_face_budget_variable_is_read_and_checked_at_the_call(monkeypatch):
 
 def test_budget_counts_distinct_given_faces():
     faces = [(0, 1), (1, 0), (0, 1), (1,), (0,)]
-    assert SimplicialComplex(2, faces, closed=True, budget=3).face_count == 3
     assert SimplicialComplex(2, faces, budget=3).face_count == 3
     with pytest.raises(FaceBudgetError):
-        SimplicialComplex(2, faces, closed=True, budget=2)
+        SimplicialComplex(2, faces, budget=2)
 
 
 def test_deleted_join_checks_each_level_times_its_sets_of_copies(monkeypatch):
@@ -531,52 +530,58 @@ def test_deleted_product_budget_is_checked_while_cells_are_built():
         deleted_product(chessboard(6, 6), 3, 2, budget=1000)
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_face_order_and_repeats_do_not_change_the_complex(closed):
+def as_given(faces, one_pass):
+    """``faces`` as a caller may give them: a list, or an iterator that can
+    be read only once."""
+    return iter(faces) if one_pass else faces
+
+
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_face_order_and_repeats_do_not_change_the_complex(one_pass):
     c = chessboard(3, 3)
     rng = random.Random(3)
     given = [tuple(rng.sample(f, len(f))) for f in c.faces()] * 2
     rng.shuffle(given)
-    rebuilt = SimplicialComplex(c.n_vertices, given, closed=closed)
+    rebuilt = SimplicialComplex(c.n_vertices, as_given(given, one_pass))
     assert rebuilt == c
     assert list(rebuilt.faces()) == list(c.faces())
     assert rebuilt.facets() == c.facets()
     with pytest.raises(ValueError):
-        SimplicialComplex(3, [(0, 3)], closed=closed)
+        SimplicialComplex(3, as_given([(0, 3)], one_pass))
     with pytest.raises(ValueError):
-        SimplicialComplex(3, [(-1, 2)], closed=closed)
+        SimplicialComplex(3, as_given([(-1, 2)], one_pass))
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_sorted_and_unsorted_faces_of_one_length(closed):
-    c = SimplicialComplex(4, [(0, 1), (1, 0), (0, 2), (3, 1), (0,), (1,), (2,), (3,)],
-                          closed=closed)
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_sorted_and_unsorted_faces_of_one_length(one_pass):
+    given = [(0, 1), (1, 0), (0, 2), (3, 1), (0,), (1,), (2,), (3,)]
+    c = SimplicialComplex(4, as_given(given, one_pass))
     assert list(c.faces()) == [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 3)]
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_repeated_vertex_moves_a_face_to_a_shorter_length(closed):
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_repeated_vertex_moves_a_face_to_a_shorter_length(one_pass):
     # (1, 1, 2) becomes the edge (1, 2) and (2, 2, 2) the vertex (2,), while
     # (0, 1, 2), of the same length, stays
     given = [(0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 2), (0, 1), (0, 2), (0,), (1,)]
-    c = SimplicialComplex(3, given, closed=closed)
+    c = SimplicialComplex(3, as_given(given, one_pass))
     assert c == full_simplex(2)
     # every face of a length shrinks
-    c = SimplicialComplex(2, [(1, 1, 1), (0, 0)], closed=closed)
+    c = SimplicialComplex(2, as_given([(1, 1, 1), (0, 0)], one_pass))
     assert list(c.faces()) == [(0,), (1,)]
     assert (c.dim, c.f_vector) == (0, (2,))
     assert c == discrete_points(2)
 
 
-@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("one_pass", [True, False])
 @pytest.mark.parametrize(
     "face,shown",
     [((2, -1, 0), (-1, 0, 2)), ((3, 0, 1), (0, 1, 3)), ((2, 2, 5), (2, 5))],
 )
-def test_out_of_range_vertex_in_an_unsorted_face(closed, face, shown):
+def test_out_of_range_vertex_in_an_unsorted_face(one_pass, face, shown):
     faces = [(0, 1, 2), face]
     with pytest.raises(ValueError) as info:
-        SimplicialComplex(3, faces, closed=closed)
+        SimplicialComplex(3, as_given(faces, one_pass))
     assert str(info.value) == f"face {shown} uses vertices outside 0..2"
 
 
@@ -588,15 +593,15 @@ def test_faces_may_be_lists_or_generators_and_empty_faces_are_skipped():
     assert SimplicialComplex(2, [(), []]).is_empty
 
 
-@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("one_pass", [True, False])
 @pytest.mark.parametrize("vertex", [1.5, "1", None, True])
-def test_non_integer_vertex_is_rejected(closed, vertex):
+def test_non_integer_vertex_is_rejected(one_pass, vertex):
     # a bool is rejected too, as by is_int
     with pytest.raises(ValueError, match="not an integer") as info:
-        SimplicialComplex(3, [(0, 1), (2, vertex)], closed=closed)
+        SimplicialComplex(3, as_given([(0, 1), (2, vertex)], one_pass))
     assert str((2, vertex)) in str(info.value)
     with pytest.raises(ValueError, match="not an integer"):
-        SimplicialComplex(3, [(vertex,)], closed=closed)
+        SimplicialComplex(3, as_given([(vertex,)], one_pass))
 
 
 def test_int_subclass_vertices_are_accepted():

@@ -278,6 +278,30 @@ def test_witness_verify_rejects_fewer_weight_vectors_than_faces():
         Witness(w.faces, w.point, w.weights[:1]).verify(LINE)
 
 
+# each of the next three witnesses reproduces its point with every face, so
+# only the weight check it names can reject it
+
+
+def test_witness_verify_rejects_a_negative_weight():
+    # -1/2 * 0 + 3/2 * 2 = 3: affine, but not convex
+    w = Witness(LINE_WITNESS.faces, (Fraction(3),), ((-HALF, 3 * HALF), (ONE, ZERO)))
+    with pytest.raises(ValueError, match="negative convex weight"):
+        w.verify(LINE)
+
+
+def test_witness_verify_rejects_weights_that_do_not_sum_to_one():
+    w = Witness(LINE_WITNESS.faces, (Fraction(3),), ((ZERO, 3 * HALF), (ONE, ZERO)))
+    with pytest.raises(ValueError, match="do not sum to one"):
+        w.verify(LINE)
+
+
+def test_witness_verify_rejects_a_weight_vector_longer_than_its_face():
+    # zip would drop the extra zero weight unseen
+    w = Witness(LINE_WITNESS.faces, (ONE,), ((HALF, HALF, ZERO), (ZERO, ONE)))
+    with pytest.raises(ValueError, match="does not match face size"):
+        w.verify(LINE)
+
+
 def test_witness_verify_rejects_a_face_with_two_points_of_one_class():
     # points 0 and 1 both lie in class 0; the face states point 1 as color 1
     both = Witness((RainbowFace(((0, 0), (1, 1))),), (ZERO,), ((ONE, ZERO),))

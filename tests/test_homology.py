@@ -133,11 +133,14 @@ def test_chain_complex_rejects_composite_modulus():
         cellular_chain_complex(deleted_product(discrete_points(2), 2, 2), 6)
 
 
+# the constructor closes the faces it is given, so a simplicial store that
+# is not closed comes only from the unchecked entry the builders use
 @pytest.mark.parametrize(
     "complex_",
     [
-        SimplicialComplex(3, [(0, 1, 2)], closed=True),
-        SimplicialComplex(3, [(0,), (1,), (2,), (0, 1), (0, 1, 2)], closed=True),
+        SimplicialComplex._from_graded(3, {2: ((0, 1, 2),)}, range(3)),
+        SimplicialComplex._from_graded(3, {0: ((0,), (1,), (2,)), 1: ((0, 1),), 2: ((0, 1, 2),)},
+                                       range(3)),
         ProductCellComplex(full_simplex(1), 2, 2, [((0,), (1,)), ((0, 1), (1,))]),
     ],
     ids=["facet-only", "edges-missing", "product"],
@@ -418,6 +421,23 @@ def test_composes_to_zero_reads_rows_and_values():
     assert not d1.composes_to_zero(d2)
 
 
+def test_verify_checks_that_row_counts_chain():
+    # verify checks the row counts before the compositions, whose shape
+    # check would raise ValueError instead
+    cc = chain_complex(boundary_simplex(2), 3)
+    cc.boundaries[1].nrows += 1
+    with pytest.raises(AssertionError, match="boundary 1 has 4 rows, not 3"):
+        cc.verify()
+
+
+def test_verify_checks_that_consecutive_boundaries_compose_to_zero():
+    cc = chain_complex(chessboard(3, 3), 3)
+    d2 = cc.boundaries[2]
+    d2.values[0] = (-d2.values[0][0] % 3, *d2.values[0][1:])  # the lowest row's value
+    with pytest.raises(AssertionError, match="composition 1 o 2 is nonzero"):
+        cc.verify()
+
+
 def test_verify_checks_that_each_column_lists_its_lowest_row_first():
     cc = chain_complex(boundary_simplex(2), 3)
     cc.verify()
@@ -429,9 +449,15 @@ def test_verify_checks_that_each_column_lists_its_lowest_row_first():
 
 def test_cells_with_an_unsorted_factor_are_rejected():
     # a cell's first face is its lowest row only if every factor is sorted
-    edge = ProductCellComplex(full_simplex(1), 1, 2, [((1, 0),), ((0,),), ((1,),)])
     with pytest.raises(ValueError, match="not a sorted tuple"):
-        cellular_chain_complex(edge, 2)
+        ProductCellComplex(full_simplex(1), 1, 2, [((1, 0),), ((0,),), ((1,),)])
+
+
+def test_a_cell_with_an_empty_factor_is_rejected():
+    # ((), (0,)) would be graded in degree -1, below every cell, and be
+    # counted by cell_count but not by f_vector or the Betti numbers
+    with pytest.raises(ValueError, match="empty factor"):
+        ProductCellComplex(full_simplex(1), 2, 2, [((), (0,)), ((0,), (1,))])
 
 
 def test_cells_with_an_unsorted_later_factor_are_rejected():

@@ -1,9 +1,9 @@
 """Property tests: random small complexes against the independent oracles,
 the reduced Euler identity, and invariance under relabelling vertices; every
-builder's faces against a rebuild by the validating constructor; the
-exact hull LP against a planar oracle; the rainbow-face order against a
-product-and-sort oracle; JSON round trips.  The hypothesis
-profile is set in ``conftest.py``."""
+builder's cells, deleted products included, against a rebuild by the
+validating constructor; the exact hull LP against a planar oracle; the
+rainbow-face order against a product-and-sort oracle; JSON round trips.
+The hypothesis profile is set in ``conftest.py``."""
 
 import json
 import random
@@ -133,31 +133,35 @@ def single_builds(scale):
 
 
 @st.composite
-def small_deleted_joins(draw):
-    """An n-fold k-wise deleted join, n in {2, 3} and k in 2..n+1, of a small
-    base, since its faces grow as a power of the base's."""
+def small_deleted(draw, builder):
+    """An n-fold k-wise deleted join or product, as ``builder`` makes it, n
+    in {2, 3} and k in 2..n+1, of a small base, since its cells grow as a
+    power of the base's faces."""
     base = draw(st.one_of(single_builds(2), complexes(max_vertices=4, max_facets=2)))
     n = draw(st.integers(2, 3))
-    return deleted_join(base, n, draw(st.integers(2, n + 1)))
+    return builder(base, n, draw(st.integers(2, n + 1)))
 
 
 built_complexes = st.one_of(
     single_builds(3),
     st.lists(single_builds(2), min_size=1, max_size=3).map(join_many),
-    small_deleted_joins(),
+    small_deleted(deleted_join),
 )
 
 
-@given(built_complexes)
-def test_builders_hand_over_canonical_faces(c):
+# a deleted product is drawn beside each complex, so every example has one
+@given(built_complexes, small_deleted(deleted_product))
+def test_builders_hand_over_canonical_faces(c, product):
+    for built, assemble in ((c, chain_complex), (product, cellular_chain_complex)):
+        oracle = rebuilt(built)
+        # the same cells in the same order, dimension by dimension
+        assert list(built._by_dim.items()) == list(oracle._by_dim.items())
+        for cells in built._by_dim.values():
+            assert all(a < b for a, b in zip(cells, cells[1:]))
+        for p in (2, 3):
+            assemble(built, p).verify()
     oracle = rebuilt(c)
     assert c == oracle and c.labels == oracle.labels
-    assert list(c.faces()) == list(oracle.faces())
-    for d in range(c.dim + 1):
-        faces = c.faces_of_dim(d)
-        assert all(a < b for a, b in zip(faces, faces[1:]))
-    for p in (2, 3):
-        chain_complex(c, p).verify()
 
 
 # small coordinates, some halves: coincident points and collinear triples
