@@ -20,7 +20,6 @@ import time
 from . import __version__
 from .complexes import (
     DEFAULT_FACE_BUDGET,
-    FACE_BUDGET_VARIABLE,
     DecompositionError,
     FaceBudgetError,
     SimplicialComplex,
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--face-budget", type=int, default=None,
                         help="refuse constructions beyond this many faces "
-                             f"(default ${FACE_BUDGET_VARIABLE}, else {DEFAULT_FACE_BUDGET})")
+                             f"(default {DEFAULT_FACE_BUDGET})")
     parser.add_argument("--out", metavar="PATH",
                         help="write the JSON report to PATH instead of stdout")
     parser.add_argument("--table", action="store_true",

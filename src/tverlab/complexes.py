@@ -15,23 +15,9 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 
-FACE_BUDGET_VARIABLE = "TVERLAB_FACE_BUDGET"
 DEFAULT_FACE_BUDGET = 10_000_000
-
-
-def default_face_budget() -> int:
-    """The budget of a constructor called without ``budget=``: the
-    ``TVERLAB_FACE_BUDGET`` environment variable, read at the call, or
-    DEFAULT_FACE_BUDGET when it is unset."""
-    text = os.environ.get(FACE_BUDGET_VARIABLE)
-    if text is None:
-        return DEFAULT_FACE_BUDGET
-    if not text.strip().isdecimal():
-        raise ValueError(f"{FACE_BUDGET_VARIABLE} must be a nonnegative integer, got {text!r}")
-    return int(text)
 
 
 class FaceBudgetError(RuntimeError):
@@ -85,9 +71,9 @@ def is_prime(p: int) -> bool:
 
 def _check_budget(count: int, budget, what: str) -> None:
     """Raise ``FaceBudgetError`` when ``count`` faces exceed ``budget``
-    (``default_face_budget()`` when None)."""
+    (``DEFAULT_FACE_BUDGET`` when None)."""
     if budget is None:
-        budget = default_face_budget()
+        budget = DEFAULT_FACE_BUDGET
     if count > budget:
         raise FaceBudgetError(
             f"{what} needs more than the face budget of {budget}; "
@@ -186,8 +172,6 @@ class SimplicialComplex(_GradedCells):
     def __init__(self, n_vertices, faces, labels=None, *, budget=None):
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        if budget is None:
-            budget = default_face_budget()
         if labels is None:
             _check_budget(n_vertices, budget, f"labelling {n_vertices} vertices")
             labels = tuple(range(n_vertices))
@@ -351,8 +335,9 @@ class ProductCellComplex(_GradedCells):
 
     Cells are graded by the sum of the factor dimensions, in the store this
     class shares with :class:`SimplicialComplex`.  The constructor takes
-    cells in any order and more than once; an empty factor, or one that is
-    not a sorted tuple, raises ``ValueError``.  The cell set must be closed
+    cells in any order and more than once; a cell without exactly ``n``
+    factors, an empty factor, one that is not a sorted tuple, or one that is
+    not a face of ``base`` raises ``ValueError``.  The cell set must be closed
     under replacing any factor by one of its nonempty codimension-1 faces,
     which the cellular boundary operator needs; this is not checked, and
     homology of a cell set that is not closed raises ``ValueError``.
@@ -365,11 +350,15 @@ class ProductCellComplex(_GradedCells):
         self.base, self.n, self.k = base, n, k
         by_dim: dict[int, list] = {}
         for cell in cells:
+            if len(cell) != n:
+                raise ValueError(f"cell {cell} does not have {n} factors")
             if not all(cell):
                 raise ValueError(f"cell {cell} has an empty factor")
             if not all(all(map(operator.lt, f, f[1:])) for f in cell):
                 raise ValueError("a factor of a cell is not a sorted tuple")
-            by_dim.setdefault(sum(map(len, cell)) - len(cell), []).append(cell)
+            if not all(map(base.has_face, cell)):
+                raise ValueError(f"cell {cell} has a factor that is not a face of the base")
+            by_dim.setdefault(sum(map(len, cell)) - n, []).append(cell)
         super().__init__({d: _sorted_distinct(cs) for d, cs in by_dim.items()})
 
     @classmethod
@@ -433,8 +422,6 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
     """
     if m < 1 or n < 1:
         raise ValueError("board sides must be positive")
-    if budget is None:
-        budget = default_face_budget()
     sizes = range(1, min(m, n) + 1)
     count = 0
     for s in sizes:  # checked as it grows: the full sum of a huge board is slow
@@ -460,8 +447,6 @@ def rainbow_complex(sizes, *, budget=None):
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
-    if budget is None:
-        budget = default_face_budget()
     _check_budget(math.prod(s + 1 for s in sizes) - 1, budget, f"rainbow complex of sizes {sizes}")
     classes = [SimplicialComplex._from_graded(s, {0: tuple(zip(range(s)))}, range(1, s + 1))
                for s in sizes]
@@ -479,8 +464,6 @@ def join_many(factors, *, budget=None) -> SimplicialComplex:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    if budget is None:
-        budget = default_face_budget()
     _check_budget(math.prod(fac.face_count + 1 for fac in factors) - 1, budget, "join")
 
     offsets = [0]
@@ -566,8 +549,6 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
         raise ValueError("need at least 2 copies")
     if k < 2:
         raise ValueError("wiseness k must be at least 2")
-    if budget is None:
-        budget = default_face_budget()
     nb = base.n_vertices
     what = f"{n}-fold deleted join"
     # a face whose nonempty copies are t of the n is a t-fold deleted
@@ -604,8 +585,6 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
         raise ValueError("need at least 2 copies")
     if k < 2:
         raise ValueError("wiseness k must be at least 2")
-    if budget is None:
-        budget = default_face_budget()
     what = f"{n}-fold deleted product"
     cells = _tuple_stream(base, n, k, lambda c, f: (f,),
                           lambda size: _check_budget(size, budget, what))

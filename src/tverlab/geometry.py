@@ -123,10 +123,6 @@ class RainbowFace:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(v for _, v in self.members))
 
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.members)
-
     def __len__(self):
         return len(self.members)
 

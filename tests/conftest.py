@@ -24,17 +24,16 @@ else:
 @pytest.fixture
 def fresh_python():
     """Start ``python *args`` in a fresh interpreter that imports tverlab from
-    this tree's src/, with stdout and stderr piped; ``env`` adds variables to
-    the inherited environment. Children still running at teardown are
-    killed."""
+    this tree's src/, with stdout and stderr piped. Children still running
+    at teardown are killed."""
     children = []
 
-    def start(*args, env=None, **popen):
+    def start(*args, **popen):
         popen.setdefault("stdout", subprocess.PIPE)
         popen.setdefault("stderr", subprocess.PIPE)
         proc = subprocess.Popen(
             [sys.executable, *args],
-            env={**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}, **popen,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, **popen,
         )
         children.append(proc)
         return proc

@@ -46,6 +46,22 @@ def test_instance_validation():
         TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1))
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2, n=0, sizes=(1, 1, 1)),
+         "prime exponent n must be at least 1"),
+        (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 0, 1)),
+         "color classes must be nonempty"),
+        (lambda: conn_lower_bound_join([3, 3], 3, 3), "m_large out of range"),
+    ],
+    ids=["zero-exponent", "empty-class", "more-large-classes-than-classes"],
+)
+def test_out_of_range_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_instance_rejects_an_r_too_long_to_print():
     # at the default limit of 4300 digits for int-to-text conversion: every
     # number a report prints is below (d+1)r, here 3 * 2**n; r is never

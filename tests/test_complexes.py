@@ -7,6 +7,7 @@ import pytest
 
 import tverlab.complexes as complexes
 from tverlab.complexes import (
+    DEFAULT_FACE_BUDGET,
     Coloring,
     DecompositionError,
     FaceBudgetError,
@@ -67,6 +68,28 @@ def test_chessboard_rejects_degenerate_sides():
         chessboard(0, 3)
     with pytest.raises(ValueError):
         chessboard(3, 0)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SimplicialComplex(-1, []), "vertex count must be nonnegative"),
+        (lambda: SimplicialComplex(2, [], labels=("a",)), "one label per vertex"),
+        (lambda: discrete_points(-1), "count must be nonnegative"),
+        (lambda: full_simplex(-1), "dimension must be nonnegative"),
+        (lambda: boundary_simplex(0), "dimension must be at least 1"),
+        (lambda: join_many([]), "at least one factor"),
+        (lambda: decomposition_isomorphism([], 3), "sizes must be a nonempty list"),
+        (lambda: decomposition_isomorphism([2], 1), "at least 2 copies"),
+        (lambda: apply_symmetry(full_simplex(1), (1, 2)), "not tagged"),
+    ],
+    ids=["negative-vertex-count", "label-count", "negative-points", "negative-simplex",
+         "boundary-of-a-point", "join-of-nothing", "decomposition-no-sizes",
+         "decomposition-one-copy", "symmetry-of-untagged"],
+)
+def test_out_of_range_arguments_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # -- joins --------------------------------------------------------------------
@@ -484,16 +507,18 @@ def test_budget_counts_the_distinct_faces_built(build):
         build(count - 1)
 
 
-def test_face_budget_variable_is_read_and_checked_at_the_call(monkeypatch):
-    monkeypatch.setenv("TVERLAB_FACE_BUDGET", "5")
+def test_the_face_budget_is_set_by_the_keyword_alone(monkeypatch):
+    # the environment variable that once set the default budget is ignored,
+    # whether it holds a number or not
+    for text in ("5", "abc"):
+        monkeypatch.setenv("_".join(("TVERLAB", "FACE", "BUDGET")), text)
+        assert chessboard(3, 3).face_count == 33
     with pytest.raises(FaceBudgetError):
-        chessboard(3, 3)
-    assert chessboard(3, 3, budget=33).face_count == 33
-    for text in ("abc", "-1", ""):
-        monkeypatch.setenv("TVERLAB_FACE_BUDGET", text)
-        with pytest.raises(ValueError, match="TVERLAB_FACE_BUDGET"):
-            chessboard(2, 2)
-        assert chessboard(2, 2, budget=6).face_count == 6
+        chessboard(3, 3, budget=32)
+    # budget=None means the default, in the one place that reads it
+    complexes._check_budget(DEFAULT_FACE_BUDGET, None, "x")
+    with pytest.raises(FaceBudgetError):
+        complexes._check_budget(DEFAULT_FACE_BUDGET + 1, None, "x")
 
 
 def test_budget_counts_distinct_given_faces():

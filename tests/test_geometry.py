@@ -82,6 +82,27 @@ def test_configuration_validation():
         _config(2, [(0, 0), (1, 1)], [(0,)])  # coloring misses a point
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ColoredConfiguration(0, (), Coloring(())), "dimension must be positive"),
+        (lambda: hulls_intersect([(), (0,)], RADON), "every face must be nonempty"),
+        (lambda: find_disjoint_intersecting_family(RADON, 0), "q must be at least 1"),
+        (lambda: random_configuration(2, [1], 0, coordinate_bound=0),
+         "coordinate bound must be at least 1"),
+        (lambda: random_configuration(2, [], 0), "sizes must be a nonempty list"),
+        (lambda: verify_theorem_empirically(
+            TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), 0, 1),
+         "need at least one trial"),
+    ],
+    ids=["zero-dimension", "empty-face", "no-faces-wanted", "zero-coordinate-bound",
+         "no-sizes", "no-trials"],
+)
+def test_out_of_range_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- rainbow face enumeration ---------------------------------------------------
 
 

@@ -460,6 +460,27 @@ def test_a_cell_with_an_empty_factor_is_rejected():
         ProductCellComplex(full_simplex(1), 2, 2, [((), (0,)), ((0,), (1,))])
 
 
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        ([((0,),), ((0,), (1,))], r"\(\(0,\),\) does not have 2 factors"),
+        ([((0,), (1,), (0,))], r"\(\(0,\), \(1,\), \(0,\)\) does not have 2 factors"),
+        ([((0,), (5,))], r"\(\(0,\), \(5,\)\) has a factor that is not a face of the base"),
+    ],
+    ids=["too-few-factors", "too-many-factors", "vertex-outside-the-base"],
+)
+def test_a_cell_that_is_no_cell_of_the_product_is_rejected(cells, message):
+    # each would be stored and given homology: the first reported f_vector
+    # (2,) and Betti numbers (1,) for a set that is no 2-fold product
+    with pytest.raises(ValueError, match=message):
+        ProductCellComplex(full_simplex(1), 2, 2, cells)
+
+
+def test_homology_of_what_is_not_a_complex_is_a_type_error():
+    with pytest.raises(TypeError, match="cannot take homology of str"):
+        betti_numbers("x")
+
+
 def test_cells_with_an_unsorted_later_factor_are_rejected():
     # the sortedness check covers every factor of a product cell, not only
     # a cell's first: here the faces of (1, 0) are all cells one degree down
