@@ -138,14 +138,12 @@ class IndexBound:
 
     space: str
     lower: int
-    upper_prime: int | None
     provenance: tuple[dict, ...]
 
     def to_dict(self) -> dict:
         return {
             "space": self.space,
             "lower": self.lower,
-            "upper_prime": self.upper_prime,
             "provenance": [dict(step) for step in self.provenance],
         }
 
@@ -185,7 +183,7 @@ def index_lower_bound_deleted_join(ti: TheoremInstance) -> IndexBound:
                 f"index >= (d+1)(r-1) = {(ti.d + 1) * (r - 1)}",
             )
         )
-    return IndexBound("deleted-join-of-rainbow", lower, None, tuple(trace))
+    return IndexBound("deleted-join-of-rainbow", lower, tuple(trace))
 
 
 def index_lower_bound_deleted_product(ti: TheoremInstance) -> IndexBound:
@@ -216,9 +214,7 @@ def index_lower_bound_deleted_product(ti: TheoremInstance) -> IndexBound:
             f"index(product) >= {(d + 1) * (r - 1)} - {r - 1} = {lower}",
         ),
     ]
-    return IndexBound(
-        "pairwise-deleted-product-of-rainbow", lower, None, tuple(trace)
-    )
+    return IndexBound("pairwise-deleted-product-of-rainbow", lower, tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -269,8 +269,10 @@ def main(argv=None) -> int:
             out = open(args.out, "w", encoding="utf-8")
         result, code = args.run(args)
     # RecursionError and OverflowError come from input files: brackets
-    # nested too deeply for the JSON parser, a vertex count too large to index
-    except (ValueError, OSError, RecursionError, OverflowError,
+    # nested too deeply for the JSON parser, a vertex count too large to
+    # index; MemoryError from a complex inside the face budget whose chain
+    # complex or reduction does not fit in memory
+    except (ValueError, OSError, RecursionError, OverflowError, MemoryError,
             FaceBudgetError, DecompositionError) as exc:
         result, code = _error_result(exc), 1
     report = {

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 DEFAULT_FACE_BUDGET = 10_000_000
@@ -162,9 +163,11 @@ class SimplicialComplex(_GradedCells):
     The constructor canonicalizes caller input: ``faces`` may list a face
     in any vertex order and more than once; a vertex that is not an ``int``
     in 0..n_vertices-1 raises ``ValueError``; every face of a given face
-    is added.  Default labels, ``0..n_vertices-1``, count against the face
-    budget before they are made.  The builders of this module make
-    canonical faces and hand them to ``_from_graded``, which checks nothing.
+    is added.  Each face is checked in the given order, before the closure
+    and the budget, so the error names the first malformed face.  Default
+    labels, ``0..n_vertices-1``, count against the face budget before they
+    are made.  The builders of this module make canonical faces and hand
+    them to ``_from_graded``, which checks nothing.
     """
 
     __slots__ = ("n_vertices", "labels", "_label_index")
@@ -180,22 +183,27 @@ class SimplicialComplex(_GradedCells):
             if len(labels) != n_vertices:
                 raise ValueError("exactly one label per vertex required")
 
-        # grouped by length in one sort, then taken longest first, so that the
-        # closure has added all of a length before that length is read
-        pending = {length: list(group) for length, group
-                   in itertools.groupby(sorted(map(tuple, faces), key=len), len) if length}
+        by_length = {}
+        for f in map(tuple, faces):
+            if not all(map(is_int, f)):  # subclasses of int other than bool pass
+                raise ValueError(f"face {f} has a vertex that is not an integer")
+            f = tuple(sorted(set(f)))
+            if f and (f[0] < 0 or f[-1] >= n_vertices):
+                raise ValueError(f"face {f} uses vertices outside 0..{n_vertices - 1}")
+            by_length.setdefault(len(f), set()).add(f)
+        # longest first, so that the closure has added all of a length before
+        # that length is read
         graded = {}
         count = 0
-        for length in range(max(pending, default=0), 0, -1):
-            fs = _sorted_distinct(_canonical(pending.pop(length, []), length, n_vertices, pending))
-            if not fs:  # no face of this length, or each lost a repeated vertex
-                continue
+        for length in range(max(by_length, default=0), 0, -1):
+            fs = sorted(by_length.pop(length))  # nonempty: given, or faces of a longer one
             count += len(fs)
             _check_budget(count, budget, "computing the downward closure")
             positions = _positions(fs, length)  # vertices add nothing: their faces are empty
+            shorter = by_length.setdefault(length - 1, set())
             for t in range(length):
-                pending.setdefault(length - 1, []).extend(_drop_position(positions, t))
-            graded[length - 1] = fs
+                shorter.update(_drop_position(positions, t))
+            graded[length - 1] = tuple(fs)
         super().__init__(graded)
         self.n_vertices, self.labels, self._label_index = n_vertices, labels, None
 
@@ -267,7 +275,7 @@ class SimplicialComplex(_GradedCells):
         doc = json.loads(text)
         n = json_field(doc, "vertices", is_int, "an integer")
         faces = json_field(doc, "faces", is_int_lists, "a list of lists of integers")
-        return cls(n, [tuple(f) for f in faces], budget=budget)
+        return cls(n, faces, budget=budget)
 
 
 def is_int(value) -> bool:
@@ -292,27 +300,6 @@ def json_field(doc, key: str, valid, expected: str):
     return doc[key]
 
 
-def _canonical(faces: list, length: int, n_vertices: int, shorter: dict) -> list:
-    """``faces`` of ``length`` vertices, checked one position at a time and
-    sorted face by face only if some are not sorted and distinct; a face
-    that loses a repeated vertex moves to ``shorter[its new length]``."""
-    positions = _positions(faces, length)
-    if not all({int}.issuperset(map(type, vs)) for vs in positions):
-        for f in faces:  # subclasses of int other than bool pass
-            if not all(map(is_int, f)):
-                raise ValueError(f"face {f} has a vertex that is not an integer")
-    if not all(all(map(operator.lt, a, b)) for a, b in zip(positions, positions[1:])):
-        kept = []
-        for f in map(tuple, map(sorted, map(set, faces))):
-            (kept if len(f) == length else shorter.setdefault(len(f), [])).append(f)
-        faces, positions = kept, _positions(kept, length)
-    # sorted, so the first and last vertex of a face are its least and largest
-    if faces and (min(positions[0]) < 0 or max(positions[-1]) >= n_vertices):
-        bad = next(f for f in faces if f[0] < 0 or f[-1] >= n_vertices)
-        raise ValueError(f"face {bad} uses vertices outside 0..{n_vertices - 1}")
-    return faces
-
-
 def _positions(keys, length: int) -> list:
     """The entries of the ``length``-tuples ``keys``, one list per position."""
     return [list(map(operator.itemgetter(t), keys)) for t in range(length)]
@@ -323,24 +310,18 @@ def _drop_position(positions: list, t: int):
     return zip(*positions[:t], *positions[t + 1:])
 
 
-def _sorted_distinct(faces: list) -> tuple:
-    """The distinct entries of ``faces`` in ascending order (sorts in place)."""
-    faces.sort()
-    keep = itertools.chain((True,), map(operator.ne, itertools.islice(faces, 1, None), faces))
-    return tuple(itertools.compress(faces, keep))
-
-
 class ProductCellComplex(_GradedCells):
     """Cell complex whose cells are tuples of nonempty faces of a base complex.
 
     Cells are graded by the sum of the factor dimensions, in the store this
     class shares with :class:`SimplicialComplex`.  The constructor takes
     cells in any order and more than once; a cell without exactly ``n``
-    factors, an empty factor, one that is not a sorted tuple, or one that is
-    not a face of ``base`` raises ``ValueError``.  The cell set must be closed
-    under replacing any factor by one of its nonempty codimension-1 faces,
-    which the cellular boundary operator needs; this is not checked, and
-    homology of a cell set that is not closed raises ``ValueError``.
+    factors, with an empty factor, one that is not a sorted tuple or one
+    that is not a face of ``base``, or with a vertex in ``k`` or more
+    factors raises ``ValueError``.  The cell set must be closed under
+    replacing any factor by one of its nonempty codimension-1 faces, which
+    the cellular boundary operator needs; this is not checked, and homology
+    of a cell set that is not closed raises ``ValueError``.
     ``deleted_product`` hands its cells to ``_from_graded`` unchecked.
     """
 
@@ -358,8 +339,10 @@ class ProductCellComplex(_GradedCells):
                 raise ValueError("a factor of a cell is not a sorted tuple")
             if not all(map(base.has_face, cell)):
                 raise ValueError(f"cell {cell} has a factor that is not a face of the base")
+            if max(Counter(itertools.chain.from_iterable(cell)).values(), default=0) >= k:
+                raise ValueError(f"cell {cell} has a vertex in {k} or more factors")
             by_dim.setdefault(sum(map(len, cell)) - n, []).append(cell)
-        super().__init__({d: _sorted_distinct(cs) for d, cs in by_dim.items()})
+        super().__init__({d: tuple(sorted(set(cs))) for d, cs in by_dim.items()})
 
     @classmethod
     def _from_graded(cls, base: SimplicialComplex, n: int, k: int, graded: dict):

@@ -2,8 +2,8 @@
 
 Everything here re-derives answers from first principles along a different
 code path: brute-force predicate enumeration for board complexes, deleted
-joins and deleted products, a rebuild of any complex through the validating
-constructor, a plain dense row-reduction for ranks mod p, the
+joins and deleted products, the downward closure of caller faces by subsets,
+a rebuild of any complex through the validating constructor, a plain dense row-reduction for ranks mod p, the
 rainbow faces of a coloring by product and sort, and exact orientation
 predicates for planar hull intersection.  Beside them,
 ``mod_matrix`` builds a matrix for the rank engine from ``(row, value)``
@@ -63,6 +63,17 @@ def rebuilt(complex_):
     if isinstance(complex_, ProductCellComplex):
         return ProductCellComplex(complex_.base, complex_.n, complex_.k, list(complex_.cells()))
     return SimplicialComplex(complex_.n_vertices, list(complex_.faces()), complex_.labels)
+
+
+def closure_by_subsets(faces):
+    """Every nonempty subset of each given face's vertex set, ordered by
+    (length, tuple): the faces of the complex the given faces close to."""
+    closed = set()
+    for face in faces:
+        vertices = sorted(set(face))
+        for size in range(1, len(vertices) + 1):
+            closed.update(itertools.combinations(vertices, size))
+    return sorted(closed, key=lambda f: (len(f), f))
 
 
 def is_downward_closed(complex_):

@@ -482,6 +482,31 @@ def test_work_stops_with_the_budget(tmp_path, fresh_python, argv, code, result, 
     assert int(err) < limit_mb * 1024
 
 
+# runs main with the child's address space limited to 200 MB above its
+# size after start-up, set relative to VmSize so that the limit does not
+# depend on the host
+MEMORY_LIMITED = """
+import resource, sys
+from tverlab.cli import main
+with open("/proc/self/status") as fh:
+    size_kib = int(next(line.split()[1] for line in fh if line.startswith("VmSize:")))
+limit = (size_kib + 200 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_running_out_of_memory_gives_one_report(fresh_python):
+    # 30,000,000 points fit in the raised face budget but not in the limit;
+    # before MemoryError was reported this printed a traceback and no JSON
+    argv = ["--face-budget", "100000000", "betti", "--points", "30000000"]
+    proc = fresh_python("-c", MEMORY_LIMITED, *argv)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+    assert json.loads(out)["result"]["error_type"] == "MemoryError"
+
+
 @pytest.mark.parametrize(
     "argv,text,error_type",
     [

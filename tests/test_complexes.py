@@ -629,6 +629,28 @@ def test_non_integer_vertex_is_rejected(one_pass, vertex):
         SimplicialComplex(3, as_given([(vertex,)], one_pass))
 
 
+def test_every_given_face_is_checked_before_the_closure_and_the_budget():
+    # the closure of the other faces needs more than 10 faces, yet [None]
+    # is named and no FaceBudgetError is raised
+    faces = [[1, 0, 0], [4, 4, 3, 2, 3], [1], [None], (0, 5, 1, 5, 3)]
+    with pytest.raises(ValueError, match=r"face \(None,\) has a vertex that is not an integer"):
+        SimplicialComplex(6, faces, budget=10)
+
+
+@pytest.mark.parametrize(
+    "faces,message",
+    [
+        ([(0, 1), (5, 0), (1, "x")], r"face \(0, 5\) uses vertices outside 0..2"),
+        ([(0, 1), (1, "x"), (5, 0)], r"face \(1, 'x'\) has a vertex that is not an integer"),
+        ([(1, "x"), (0, 1, 5)], r"face \(1, 'x'\) has a vertex that is not an integer"),
+    ],
+    ids=["out-of-range-first", "non-integer-first", "shorter-face-first"],
+)
+def test_the_first_bad_face_given_is_named(faces, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex(3, faces)
+
+
 def test_int_subclass_vertices_are_accepted():
     class Vertex(int):
         pass

@@ -141,7 +141,7 @@ def test_chain_complex_rejects_composite_modulus():
         SimplicialComplex._from_graded(3, {2: ((0, 1, 2),)}, range(3)),
         SimplicialComplex._from_graded(3, {0: ((0,), (1,), (2,)), 1: ((0, 1),), 2: ((0, 1, 2),)},
                                        range(3)),
-        ProductCellComplex(full_simplex(1), 2, 2, [((0,), (1,)), ((0, 1), (1,))]),
+        ProductCellComplex(full_simplex(1), 2, 3, [((0,), (1,)), ((0, 1), (1,))]),
     ],
     ids=["facet-only", "edges-missing", "product"],
 )
@@ -466,14 +466,23 @@ def test_a_cell_with_an_empty_factor_is_rejected():
         ([((0,),), ((0,), (1,))], r"\(\(0,\),\) does not have 2 factors"),
         ([((0,), (1,), (0,))], r"\(\(0,\), \(1,\), \(0,\)\) does not have 2 factors"),
         ([((0,), (5,))], r"\(\(0,\), \(5,\)\) has a factor that is not a face of the base"),
+        ([((0,), (0,)), ((0,), (1,))], r"\(\(0,\), \(0,\)\) has a vertex in 2 or more factors"),
     ],
-    ids=["too-few-factors", "too-many-factors", "vertex-outside-the-base"],
+    ids=["too-few-factors", "too-many-factors", "vertex-outside-the-base", "vertex-in-k-factors"],
 )
 def test_a_cell_that_is_no_cell_of_the_product_is_rejected(cells, message):
     # each would be stored and given homology: the first reported f_vector
     # (2,) and Betti numbers (1,) for a set that is no 2-fold product
     with pytest.raises(ValueError, match=message):
         ProductCellComplex(full_simplex(1), 2, 2, cells)
+
+
+def test_a_vertex_may_lie_in_fewer_than_k_factors():
+    # ((0,), (0,)) is no cell of the 2-wise deleted product, but one of the
+    # 3-wise one, where only three factors sharing a vertex are excluded
+    p = ProductCellComplex(full_simplex(1), 2, 3, [((0,), (0,)), ((0,), (1,))])
+    assert p.cells_of_dim(0) == (((0,), (0,)), ((0,), (1,)))
+    assert betti_numbers(p, 2).betti == (1,)  # reduced: two points
 
 
 def test_homology_of_what_is_not_a_complex_is_a_type_error():

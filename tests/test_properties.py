@@ -1,7 +1,8 @@
 """Property tests: random small complexes against the independent oracles,
 the reduced Euler identity, and invariance under relabelling vertices; every
 builder's cells, deleted products included, against a rebuild by the
-validating constructor; the exact hull LP against a planar oracle; the
+validating constructor; the constructor's closure of caller faces against
+every subset of each face; the exact hull LP against a planar oracle; the
 rainbow-face order against a product-and-sort oracle; JSON round trips.
 The hypothesis profile is set in ``conftest.py``."""
 
@@ -28,6 +29,7 @@ from tverlab.homology import betti, betti_numbers, cellular_chain_complex, chain
 
 from oracles import (
     check_certificate,
+    closure_by_subsets,
     deleted_join_by_product,
     deleted_product_by_product,
     oracle_betti,
@@ -47,6 +49,24 @@ def complexes(draw, max_vertices=7, max_facets=6):
     n = draw(st.integers(1, max_vertices))
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     return SimplicialComplex(n, draw(st.lists(facet, max_size=max_facets)))
+
+
+@st.composite
+def caller_faces(draw):
+    """Faces on at most 6 vertices as a caller may give them: unsorted, with
+    repeated vertices, empty, given more than once, as lists or tuples."""
+    n = draw(st.integers(1, 6))
+    face = st.lists(st.integers(0, n - 1), max_size=8)
+    faces = draw(st.lists(st.one_of(face, face.map(tuple)), max_size=8))
+    if faces:
+        faces += draw(st.lists(st.sampled_from(faces), max_size=4))
+    return n, draw(st.permutations(faces))
+
+
+@given(caller_faces())
+def test_constructor_closes_caller_faces_as_every_subset(n_faces):
+    n, faces = n_faces
+    assert list(SimplicialComplex(n, faces).faces()) == closure_by_subsets(faces)
 
 
 primes = st.sampled_from([2, 3])
