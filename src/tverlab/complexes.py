@@ -161,13 +161,14 @@ class SimplicialComplex(_GradedCells):
     presentation data and do not participate).
 
     The constructor canonicalizes caller input: ``faces`` may list a face
-    in any vertex order and more than once; a vertex that is not an ``int``
-    in 0..n_vertices-1 raises ``ValueError``; every face of a given face
-    is added.  Each face is checked in the given order, before the closure
-    and the budget, so the error names the first malformed face.  Default
-    labels, ``0..n_vertices-1``, count against the face budget before they
-    are made.  The builders of this module make canonical faces and hand
-    them to ``_from_graded``, which checks nothing.
+    in any vertex order and more than once; a face that is not iterable, or
+    a vertex that is not an ``int`` in 0..n_vertices-1, raises
+    ``ValueError``; every face of a given face is added.  Each face is
+    checked in the given order, before the closure and the budget, so the
+    error names the first malformed face.  Default labels,
+    ``0..n_vertices-1``, count against the face budget before they are
+    made.  The builders of this module make canonical faces and hand them
+    to ``_from_graded``, which checks nothing.
     """
 
     __slots__ = ("n_vertices", "labels", "_label_index")
@@ -184,7 +185,11 @@ class SimplicialComplex(_GradedCells):
                 raise ValueError("exactly one label per vertex required")
 
         by_length = {}
-        for f in map(tuple, faces):
+        for f in faces:
+            try:
+                f = tuple(f)
+            except TypeError:  # not iterable
+                raise ValueError(f"face {f!r} is not a collection of vertices") from None
             if not all(map(is_int, f)):  # subclasses of int other than bool pass
                 raise ValueError(f"face {f} has a vertex that is not an integer")
             f = tuple(sorted(set(f)))
@@ -315,13 +320,13 @@ class ProductCellComplex(_GradedCells):
 
     Cells are graded by the sum of the factor dimensions, in the store this
     class shares with :class:`SimplicialComplex`.  The constructor takes
-    cells in any order and more than once; a cell without exactly ``n``
-    factors, with an empty factor, one that is not a sorted tuple or one
-    that is not a face of ``base``, or with a vertex in ``k`` or more
-    factors raises ``ValueError``.  The cell set must be closed under
-    replacing any factor by one of its nonempty codimension-1 faces, which
-    the cellular boundary operator needs; this is not checked, and homology
-    of a cell set that is not closed raises ``ValueError``.
+    cells in any order and more than once; a cell that is not a tuple,
+    without exactly ``n`` factors, with an empty factor, one that is not a
+    sorted tuple or one that is not a face of ``base``, or with a vertex in
+    ``k`` or more factors raises ``ValueError``.  So does a cell set that
+    is not closed under replacing a factor of two or more vertices by one
+    of its codimension-1 faces, which the cellular boundary operator needs:
+    homology skips the faces of cleared cells, so it could not tell.
     ``deleted_product`` hands its cells to ``_from_graded`` unchecked.
     """
 
@@ -331,18 +336,27 @@ class ProductCellComplex(_GradedCells):
         self.base, self.n, self.k = base, n, k
         by_dim: dict[int, list] = {}
         for cell in cells:
+            if not isinstance(cell, tuple):
+                raise ValueError(f"cell {cell} is not a tuple")
             if len(cell) != n:
                 raise ValueError(f"cell {cell} does not have {n} factors")
             if not all(cell):
                 raise ValueError(f"cell {cell} has an empty factor")
-            if not all(all(map(operator.lt, f, f[1:])) for f in cell):
-                raise ValueError("a factor of a cell is not a sorted tuple")
+            if not all(isinstance(f, tuple) and all(map(operator.lt, f, f[1:])) for f in cell):
+                raise ValueError(f"cell {cell} has a factor that is not a sorted tuple")
             if not all(map(base.has_face, cell)):
                 raise ValueError(f"cell {cell} has a factor that is not a face of the base")
             if max(Counter(itertools.chain.from_iterable(cell)).values(), default=0) >= k:
                 raise ValueError(f"cell {cell} has a vertex in {k} or more factors")
             by_dim.setdefault(sum(map(len, cell)) - n, []).append(cell)
         super().__init__({d: tuple(sorted(set(cs))) for d, cs in by_dim.items()})
+        for cell in self._iter():
+            for i, f in enumerate(cell):
+                for t in range(len(f) if len(f) > 1 else 0):
+                    face = (*cell[:i], f[:t] + f[t + 1:], *cell[i + 1:])
+                    if not self._has(face):
+                        raise ValueError(f"cell {cell} has the face {face}, which is not a "
+                                         "cell: the cells are not closed under taking faces")
 
     @classmethod
     def _from_graded(cls, base: SimplicialComplex, n: int, k: int, graded: dict):

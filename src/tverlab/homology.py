@@ -14,7 +14,7 @@ dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
@@ -55,27 +55,26 @@ class ModMatrix:
                 return False
         return True
 
-    def pivot_rows(self, skip=frozenset()) -> set[int]:
+    def pivot_rows(self) -> set[int]:
         """Pivot rows of the column reduction: columns are taken left to
         right, and each is reduced by the earlier pivot columns until its
         lowest (largest-index) nonzero row carries no pivot yet, or it
-        vanishes.  Columns whose index is in ``skip`` are left out.
+        vanishes.
 
         A column whose lowest row, its first, is free becomes that row's
         pivot as stored, and is converted only when a later column reduces
         against it, as is every column reduced: over GF(2) to an int whose
         set bits are its rows, over odd p to a ``{row: value}`` dict, a
-        pivot scaled to 1 in its lowest row.  The pivot rows of the reduced
-        columns depend only on the span of the columns reduced, and with no
-        ``skip`` their number is the rank.
+        pivot scaled to 1 in its lowest row.  The pivot rows depend only on
+        the span of the columns, and their number is the rank.
         """
         p = self.p
         # per lowest row, its pivot: as stored (a tuple), or converted
         pivots = [None] * self.nrows
         placed = []  # the rows given a pivot
         if p == 2:
-            for j, rows in enumerate(self.rows):
-                if not rows or j in skip:
+            for rows in self.rows:
+                if not rows:
                     continue
                 low = rows[0]
                 other = pivots[low]
@@ -97,8 +96,8 @@ class ModMatrix:
                         other = pivots[low] = _mask(other)
                     mask ^= other
         else:
-            for j, col in enumerate(zip(self.rows, self.values)):
-                if not col[0] or j in skip:
+            for col in zip(self.rows, self.values):
+                if not col[0]:
                     continue
                 low = col[0][0]
                 if pivots[low] is None:
@@ -141,55 +140,60 @@ def _mask(rows: tuple) -> int:
 
 @dataclass
 class ChainComplexModP:
-    """Graded boundary matrices over Z_p, augmented in degree -1.
-
-    ``boundaries[d]`` maps degree d to degree d-1, with ``boundaries[0]``
-    the 1-row augmentation sending every 0-cell to the point class; the
-    cell counts ``dims`` are read off their column counts.
-
-    All boundary ranks are computed together, on first use, top degree down
-    with clearing: a d-cell that is a pivot row of the reduced
-    ``boundaries[d+1]`` is the lowest cell of a boundary, hence of a cycle,
-    so its column of ``boundaries[d]`` lies in the span of the earlier ones
-    and is skipped.  This assumes ``boundaries[d] @ boundaries[d+1] == 0``,
-    and that each column lists its lowest row first; the assembler
-    guarantees both, and ``verify()`` checks them.
+    """Augmented chain complex over Z_p, kept as its cells: ``graded[d]``
+    holds the d-cells as ``{shape: (rows, keys)}`` (see ``_boundary``).
+    ``ranks`` assembles each boundary when it reduces it, top degree down,
+    and drops it.  With clearing, a d-cell that is a pivot row of the
+    reduced boundary of degree d+1, so the lowest cell of a cycle, gets no
+    column, as its column lies in the span of the earlier ones.  This
+    assumes consecutive boundaries compose to zero and columns list their
+    lowest row first; the assembler guarantees both; ``verify()`` checks them.
     """
 
     p: int
-    boundaries: list[ModMatrix]
+    graded: list[dict] = field(repr=False)  # one entry per cell: too long to show
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     @property
     def dims(self) -> list[int]:
-        return [mat.ncols for mat in self.boundaries]
+        return [sum(len(rows) for rows, _ in groups.values()) for groups in self.graded]
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.boundaries) - 1
+    def _assemble(self, d: int, cleared) -> ModMatrix:
+        """The boundary of degree d, without the columns of the d-cells in ``cleared``."""
+        if not d:
+            return _boundary(self.graded[0], None, self.p, 1, cleared)
+        lower = {shape: dict(zip(keys, rows)) for shape, (rows, keys) in self.graded[d - 1].items()}
+        return _boundary(self.graded[d], lower, self.p, self.dims[d - 1], cleared)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Ranks of ``boundaries[0..top]``, reduced with clearing."""
-        ranks = []
-        cleared = frozenset()
-        for mat in reversed(self.boundaries):
-            cleared = mat.pivot_rows(skip=cleared)
+        """Ranks of the boundaries of degrees 0..top, with clearing."""
+        ranks, cleared = [], frozenset()
+        for d in reversed(range(len(self.graded))):
+            cleared = self._assemble(d, cleared).pivot_rows()
             ranks.append(len(cleared))
         return tuple(reversed(ranks))
+
+    @cached_property
+    def boundaries(self) -> list[ModMatrix]:
+        """Every boundary in full, the augmentation first; ``ranks`` never reads it."""
+        return [self._assemble(d, frozenset()) for d in range(len(self.graded))]
 
     def verify(self) -> None:
         """Assert row counts chain, columns list their lowest row first, and
         consecutive boundaries compose to zero (augmentation included)."""
-        nrows = 1
-        for d, mat in enumerate(self.boundaries):
+        nrows, boundaries = 1, self.boundaries
+        for d, mat in enumerate(boundaries):
             if mat.nrows != nrows:
                 raise AssertionError(f"boundary {d} has {mat.nrows} rows, not {nrows}")
             if any(rows and rows[0] != max(rows) for rows in mat.rows):
                 raise AssertionError(f"boundary {d} has a column whose lowest row is not first")
+            if d and not boundaries[d - 1].composes_to_zero(mat):
+                raise AssertionError(f"boundary composition {d - 1} o {d} is nonzero")
             nrows = mat.ncols
-        for d in range(self.top_dim):
-            if not self.boundaries[d].composes_to_zero(self.boundaries[d + 1]):
-                raise AssertionError(f"boundary composition {d} o {d + 1} is nonzero")
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def chain_complex(complex_: SimplicialComplex, p: int) -> ChainComplexModP:
     # a simplex is the 1-factor cell (face,), and its face is its key
     graded = [{(d + 1,): (range(len(fs)), fs)}
               for d, fs in enumerate(map(complex_.faces_of_dim, range(complex_.dim + 1)))]
-    return _assemble(graded, p)
+    return ChainComplexModP(p, graded)
 
 
 def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexModP:
@@ -245,12 +249,15 @@ def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexM
             rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
             rows.append(row)
             keys.append(tuple(itertools.chain.from_iterable(cell)))
-    return _assemble(graded, p)
+    return ChainComplexModP(p, graded)
 
 
-def _assemble(graded, p: int) -> ChainComplexModP:
-    """Augmented chain complex over Z_p of cells given degree by degree, a
-    degree as ``{shape: (rows, keys)}`` with each shape's rows ascending.
+def _boundary(groups: dict, lower, p: int, nrows: int, cleared) -> ModMatrix:
+    """The boundary over Z_p, into ``nrows`` rows, of one degree's cells,
+    ``{shape: (rows, keys)}`` with each shape's rows ascending: a column
+    per cell whose row is not in ``cleared``, in row order.  ``lower`` maps
+    each shape one degree down to the row of each key; in degree 0 it is
+    None and the boundary is the augmentation.
 
     A cell is a tuple of factors, each a sorted tuple of base vertices, and
     a simplex the 1-factor cell ``(face,)``.  Its shape is the tuple of its
@@ -260,32 +267,25 @@ def _assemble(graded, p: int) -> ChainComplexModP:
     dimension of the factors before it.  A summand whose factor would
     become empty is dropped.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    boundaries = []
-    lower: dict[tuple, dict] = {}  # per shape one degree down, the row of each key
-    for groups in graded:
-        index, cols, values = {}, [], []
-        try:
-            for shape, (rows, keys) in groups.items():
-                index[shape] = dict(zip(keys, rows))
-                # the boundary of degree 0 is the augmentation
-                faces, signs = _columns(shape, keys, lower, p) if boundaries else ([(0,)] * len(rows), (1,))
-                cols += faces
-                values += [signs] * len(faces)
-        except KeyError:
-            # a face of the cell is not among the cells one degree down
-            raise ValueError("complex is not closed under taking faces") from None
-        if len(groups) > 1:  # the rows of one shape ascend, but not of several
-            order = itertools.chain.from_iterable(rows for rows, _ in groups.values())
-            _, cols, values = map(list, zip(*sorted(zip(order, cols, values))))
-        boundaries.append(ModMatrix(boundaries[-1].ncols if boundaries else 1, p, cols, values))
-        lower = index
-    return ChainComplexModP(p, boundaries)
+    order, cols, values = [], [], []
+    try:
+        for shape, (rows, keys) in groups.items():
+            kept = [row not in cleared for row in rows]
+            rows, keys = (list(itertools.compress(seq, kept)) for seq in (rows, keys))
+            faces, signs = ([(0,)] * len(rows), (1,)) if lower is None else _columns(shape, keys, lower, p)
+            order += rows
+            cols += faces
+            values += [signs] * len(faces)
+    except KeyError:
+        # a face of the cell is not among the cells one degree down
+        raise ValueError("complex is not closed under taking faces") from None
+    if len(groups) > 1 and cols:  # the rows of one shape ascend, but not of several
+        _, cols, values = map(list, zip(*sorted(zip(order, cols, values))))
+    return ModMatrix(nrows, p, cols, values)
 
 
 def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
-    """The boundary columns of one shape's cells (see ``_assemble``) as row
+    """The boundary columns of one shape's cells (see ``_boundary``) as row
     tuples, and the values tuple they share, a vertex position at a time.
     Rows follow the sorted cells, so with sorted factors, which both stores
     keep, a cell's first face, which drops the least vertex of its first
@@ -333,9 +333,9 @@ def hconn(complex_, p: int = 2) -> HConn:
     """Homological connectivity over Z_p: one less than the first degree of
     the Betti profile with nonzero homology."""
     cc = _as_chain_complex(complex_, p)
-    if not cc.boundaries:
+    if not cc.dims:
         return HConn(-2)
     d = betti(cc).first_nonzero_degree()
     if d is None:
-        return HConn(cc.top_dim, is_lower_bound=True)
+        return HConn(len(cc.dims) - 1, is_lower_bound=True)
     return HConn(d - 1)

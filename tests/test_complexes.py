@@ -629,6 +629,11 @@ def test_non_integer_vertex_is_rejected(one_pass, vertex):
         SimplicialComplex(3, as_given([(vertex,)], one_pass))
 
 
+def test_a_face_that_is_not_iterable_is_rejected():
+    with pytest.raises(ValueError, match="face 5 is not a collection of vertices"):
+        SimplicialComplex(3, [5])
+
+
 def test_every_given_face_is_checked_before_the_closure_and_the_budget():
     # the closure of the other faces needs more than 10 faces, yet [None]
     # is named and no FaceBudgetError is raised

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,12 @@ def test_submodules_load_on_first_use(fresh_python):
     proc = fresh_python("-c", LAZY_SURFACE)
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err.decode()
+
+
+def test_benchmark_self_tests_pass(fresh_python):
+    # the benchmark drives the library through its public API, so a change
+    # to that API which breaks the harness fails here, not only in a run
+    root = Path(__file__).resolve().parents[1]
+    proc = fresh_python(str(root / "perfbench" / "selftest.py"), cwd=root)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()[-3000:]

@@ -2,7 +2,8 @@
 the reduced Euler identity, and invariance under relabelling vertices; every
 builder's cells, deleted products included, against a rebuild by the
 validating constructor; the constructor's closure of caller faces against
-every subset of each face; the exact hull LP against a planar oracle; the
+every subset of each face; the product constructor's refusal of a cell set
+that misses a face; the exact hull LP against a planar oracle; the
 rainbow-face order against a product-and-sort oracle; JSON round trips.
 The hypothesis profile is set in ``conftest.py``."""
 
@@ -10,10 +11,12 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tverlab.complexes import (
     Coloring,
+    ProductCellComplex,
     SimplicialComplex,
     boundary_simplex,
     chessboard,
@@ -182,6 +185,26 @@ def test_builders_hand_over_canonical_faces(c, product):
             assemble(built, p).verify()
     oracle = rebuilt(c)
     assert c == oracle and c.labels == oracle.labels
+
+
+def codimension_one_faces(cell):
+    """The cells obtained from ``cell`` by dropping one vertex from a factor
+    of two or more."""
+    return {cell[:i] + (f[:t] + f[t + 1:],) + cell[i + 1:]
+            for i, f in enumerate(cell) if len(f) > 1 for t in range(len(f))}
+
+
+@given(small_deleted(deleted_product), primes, st.data())
+def test_caller_product_cells_are_refused_unless_closed_under_faces(product, p, data):
+    cells = data.draw(st.permutations(list(product.cells())))
+    given_cells = ProductCellComplex(product.base, product.n, product.k, cells)
+    assert betti_numbers(given_cells, p) == betti_numbers(product, p)
+    faces = set().union(*map(codimension_one_faces, cells))
+    if faces:  # without a face of another cell, no cell set misses one
+        dropped = data.draw(st.sampled_from(sorted(faces)))
+        with pytest.raises(ValueError, match="not closed under taking faces"):
+            ProductCellComplex(product.base, product.n, product.k,
+                               [cell for cell in cells if cell != dropped])
 
 
 # small coordinates, some halves: coincident points and collinear triples
