@@ -331,11 +331,11 @@ class FaceCountUpgrade:
 
 
 def strict_inequality_note(ti: TheoremInstance) -> FaceCountUpgrade | None:
-    """Return the face-count upgrade when m_large strictly exceeds
-    (d-k)(r-1); None when the inequality is not strict."""
+    """Return the face-count upgrade when the classes meet their size
+    thresholds and m_large strictly exceeds (d-k)(r-1); None otherwise."""
     r, d, k, m = ti.r, ti.d, ti.k, ti.m_large
     gap = m - (d - k) * (r - 1)
-    if gap <= 0:
+    if gap <= 0 or threshold_violations(ti.sizes, r, m):
         return None
     trace = [
         _step(

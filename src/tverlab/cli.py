@@ -142,9 +142,7 @@ def _run_tverberg_search(args):
 
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ColoredConfiguration.from_dict(json.load(fh))
-    res = find_disjoint_intersecting_family(
-        config, args.q, lp_budget=args.lp_budget, max_dim=args.max_dim
-    )
+    res = find_disjoint_intersecting_family(config, args.q, lp_budget=args.lp_budget)
     return {
         "status": res.status,
         "hull_queries": res.hull_queries,
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True, metavar="FILE")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lp-budget", type=int, default=None)
-    sp.add_argument("--max-dim", type=int, default=None)
 
     sp = sub.add_parser("experiment", help="seeded random trials for a parameter bundle")
     sp.set_defaults(run=_run_experiment)

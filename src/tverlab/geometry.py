@@ -130,18 +130,20 @@ class RainbowFace:
         return {"members": {str(c): v for c, v in self.members}}
 
 
-def enumerate_rainbow_faces(config: ColoredConfiguration, max_dim=None) -> list[RainbowFace]:
-    """All nonempty rainbow faces of dimension at most ``max_dim`` (no cap
-    when None), in the order the witness search tries them: larger faces
-    first, then by color set, then by sorted vertex tuple."""
-    return _rainbow_faces(config, _rainbow_tuples(config, max_dim))
+def enumerate_rainbow_faces(config: ColoredConfiguration) -> list[RainbowFace]:
+    """The rainbow faces the witness search reads, in its order: every
+    nonempty one of dimension at most d (see ``_rainbow_tuples``)."""
+    return _rainbow_faces(config, _rainbow_tuples(config))
 
 
-def _rainbow_tuples(config: ColoredConfiguration, max_dim):
-    """The faces of ``enumerate_rainbow_faces``, lazily, as vertex tuples."""
+def _rainbow_tuples(config: ColoredConfiguration):
+    """Every nonempty rainbow face of dimension at most d, lazily, as sorted
+    vertex tuples: larger first, then by color set, then by vertex tuple.
+    The cap loses no family: a point of conv(F) lies in the hull of at most
+    d + 1 vertices of F (Caratheodory), a sub-face that stays rainbow and
+    disjoint from the others, so "none" over these faces is "none" over all."""
     classes = config.color_classes
-    top = len(classes) if max_dim is None else min(max_dim + 1, len(classes))
-    for size in range(top, 0, -1):
+    for size in range(min(config.d + 1, len(classes)), 0, -1):
         for blocks in itertools.combinations(classes, size):
             group = itertools.product(*blocks)
             # already in sorted-vertex order when each class lies below the next
@@ -318,11 +320,7 @@ class _BudgetExhausted(Exception):
 
 
 def find_disjoint_intersecting_family(
-    config: ColoredConfiguration,
-    q: int,
-    *,
-    lp_budget=None,
-    max_dim=None,
+    config: ColoredConfiguration, q: int, *, lp_budget=None
 ) -> SearchResult:
     """Depth-first search for q pairwise disjoint rainbow faces with
     intersecting hulls.
@@ -334,16 +332,15 @@ def find_disjoint_intersecting_family(
     adding a face can only shrink the intersection.  Deterministic: equal
     inputs give the identical result.
 
-    Without ``lp_budget`` the search is exhaustive: it makes at most one hull
-    query per increasing family (in the face order above) of at most q
-    pairwise disjoint rainbow faces, and ends "found" or "none".
-    ``lp_budget`` is the bound on hull queries; a search that reaches it
-    ends "budget", having generated only the faces it scanned.
+    Without ``lp_budget`` the search is exhaustive over all rainbow faces
+    (see ``_rainbow_tuples``): it makes at most one hull query per
+    increasing family (in the face order above) of at most q pairwise
+    disjoint rainbow faces of dimension at most d, and ends "found" or
+    "none".  ``lp_budget`` is the bound on hull queries; a search that
+    reaches it ends "budget", having generated only the faces it scanned.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    if max_dim is None:
-        max_dim = min(config.d, config.coloring.n_colors - 1)
     stats = {"queries": 0, "nodes": 0}
 
     def query(family):
@@ -370,7 +367,7 @@ def find_disjoint_intersecting_family(
         return None
 
     try:
-        witness = extend(itertools.tee(_rainbow_tuples(config, max_dim), 1)[0], [], set())
+        witness = extend(itertools.tee(_rainbow_tuples(config), 1)[0], [], set())
     except _BudgetExhausted:
         return SearchResult("budget", None, stats["queries"], stats["nodes"])
     if witness is None:
@@ -455,7 +452,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def verify_theorem_empirically(
-    ti: TheoremInstance,
+    ti,
     trials: int,
     seed: int,
     *,
@@ -463,9 +460,10 @@ def verify_theorem_empirically(
     lp_budget=None,
     coordinate_bound: int = 1000,
 ) -> ExperimentReport:
-    """Run seeded trials: generate a configuration with the bundle's class
-    sizes, search for q pairwise disjoint rainbow faces with intersecting
-    hulls, and aggregate the outcomes.
+    """Run seeded trials of the bundle ``ti`` (a ``bounds.TheoremInstance``,
+    imported lazily): generate a configuration with its class sizes,
+    search for q pairwise disjoint rainbow faces with intersecting hulls,
+    and aggregate the outcomes.
 
     When the bundle's verdict does not promise at least q faces the run is
     labelled exploratory.  An exhaustive "none" is recorded as a

@@ -311,6 +311,16 @@ def test_no_upgrade_on_equality():
     assert strict_inequality_note(ti) is None
 
 
+def test_no_upgrade_below_the_size_thresholds():
+    # m_large = 2 > (d-k)(r-1) = 0, but both classes are below 2r-1 = 5, so
+    # neither the join bound nor its upgrade is claimed
+    ti = TheoremInstance(d=1, k=1, m_large=2, p=3, n=1, sizes=(1, 1))
+    assert strict_inequality_note(ti) is None
+    report = evaluate_bundle(ti)
+    assert "error" in report["deleted_join_bound"]
+    assert report["upgrade"] is None and report["promised_faces"] is None
+
+
 def test_upgrade_large_example_with_extra_class():
     ti = TheoremInstance(d=8, k=7, m_large=7, p=7, n=1, sizes=(13,) * 7 + (10,))
     note = strict_inequality_note(ti)

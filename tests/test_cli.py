@@ -150,9 +150,14 @@ def test_face_budget_flag(capsys):
     assert report["input_echo"] == {"subcommand": "chessboard", "m": 4, "n": 4}
 
 
-def test_usage_error_exit_code(capsys):
+@pytest.mark.parametrize("argv", [
+    ["hconn", "--p", "2"],
+    # the search reads every rainbow face of dimension <= d; no cap is taken
+    ["tverberg-search", "--config", "x", "--q", "2", "--max-dim", "0"],
+], ids=["missing-source", "max-dim"])
+def test_usage_error_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        main(["hconn", "--p", "2"])  # missing complex source
+        main(argv)
     assert err.value.code == 2
 
 

@@ -123,9 +123,9 @@ def test_enumerate_three_colors_of_ten():
     assert len(enumerate_rainbow_faces(cfg)) == 11 ** 3 - 1 == 1330
 
 
-def test_enumerate_respects_max_dim():
-    cfg = random_configuration(2, [2, 2, 2], seed=0)
-    faces = enumerate_rainbow_faces(cfg, max_dim=1)
+def test_enumerate_stops_at_dimension_d():
+    cfg = random_configuration(1, [2, 2, 2], seed=0)
+    faces = enumerate_rainbow_faces(cfg)
     assert all(len(f) <= 2 for f in faces)
     assert len(faces) == 6 + 12  # singletons plus bichromatic pairs
 
@@ -248,7 +248,7 @@ def test_pruned_search_matches_unpruned_enumeration():
             interleaved += any(a[-1] > b[0] for a, b in zip(classes, classes[1:]))
             q = 2
             faces = [tuple(sorted(v for _, v in members))
-                     for members in rainbow_faces_by_product(classes, max_dim=min(cfg.d, 2))]
+                     for members in rainbow_faces_by_product(classes, cfg.d)]
             expected = None
             for family in itertools.combinations(faces, q):
                 used = list(itertools.chain.from_iterable(family))

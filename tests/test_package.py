@@ -1,4 +1,6 @@
 import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,21 @@ def test_dir_and_star_import_cover_every_name():
     exec("from tverlab import *", namespace)
     for name in tverlab.__all__:
         assert namespace[name] is getattr(tverlab, name)
+
+
+def test_every_public_annotation_resolves():
+    # annotations are strings (postponed evaluation), so a name that the
+    # home module never imports shows only when they are resolved
+    for name in tverlab.__all__[1:]:
+        obj = getattr(tverlab, name)
+        targets = [obj]
+        if inspect.isclass(obj):
+            for attr in vars(obj).values():
+                attr = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                if inspect.isfunction(attr):
+                    targets.append(attr)
+        for target in targets:
+            typing.get_type_hints(target)
 
 
 def test_unknown_name_is_an_attribute_error():
