@@ -84,14 +84,17 @@ def _check_budget(count: int, budget, what: str) -> None:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Ordered partition of vertex ids into nonempty color classes."""
+    """Ordered partition of vertex ids into nonempty color classes; a vertex
+    that is not an ``int`` raises ``ValueError``."""
 
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "classes", tuple(tuple(sorted(block)) for block in self.classes)
-        )
+        classes = tuple(map(tuple, self.classes))
+        for block in classes:
+            if not all(map(is_int, block)):
+                raise ValueError(f"color class {block} has a vertex that is not an integer")
+        object.__setattr__(self, "classes", tuple(tuple(sorted(block)) for block in classes))
         seen: set[int] = set()
         total = 0
         for block in self.classes:
@@ -161,19 +164,22 @@ class SimplicialComplex(_GradedCells):
     presentation data and do not participate).
 
     The constructor canonicalizes caller input: ``faces`` may list a face
-    in any vertex order and more than once; a face that is not iterable, or
-    a vertex that is not an ``int`` in 0..n_vertices-1, raises
-    ``ValueError``; every face of a given face is added.  Each face is
-    checked in the given order, before the closure and the budget, so the
-    error names the first malformed face.  Default labels,
-    ``0..n_vertices-1``, count against the face budget before they are
-    made.  The builders of this module make canonical faces and hand them
-    to ``_from_graded``, which checks nothing.
+    in any vertex order and more than once; a vertex count that is not an
+    ``int``, a face that is not iterable, or a vertex that is not an
+    ``int`` in 0..n_vertices-1, raises ``ValueError``; every face of a
+    given face is added.  Each face is checked in the given order, before
+    the closure and the budget, so the error names the first malformed
+    face.  Default labels, ``0..n_vertices-1``, count against the face
+    budget before they are made.  The builders of this module make
+    canonical faces and hand them to ``_from_graded``, which checks
+    nothing.
     """
 
     __slots__ = ("n_vertices", "labels", "_label_index")
 
     def __init__(self, n_vertices, faces, labels=None, *, budget=None):
+        if not is_int(n_vertices):
+            raise ValueError(f"vertex count {n_vertices!r} is not an integer")
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         if labels is None:

@@ -103,12 +103,16 @@ def _is_lists(value) -> bool:
 
 @dataclass(frozen=True)
 class RainbowFace:
-    """A nonempty face choosing at most one point per color class."""
+    """A nonempty face choosing at most one point per color class; a color
+    or point index that is not an ``int`` raises ``ValueError``."""
 
     members: tuple[tuple[int, int], ...]  # sorted (color, point index) pairs
 
     def __post_init__(self):
-        members = tuple(sorted((int(c), int(v)) for c, v in self.members))
+        members = tuple(self.members)
+        if not all(is_int(c) and is_int(v) for c, v in members):
+            raise ValueError(f"rainbow face {members} has an index that is not an integer")
+        members = tuple(sorted((c, v) for c, v in members))
         if not members:
             raise ValueError("rainbow faces are nonempty")
         if len({c for c, _ in members}) != len(members):
@@ -178,6 +182,10 @@ def hulls_intersect(faces, config: ColoredConfiguration):
     vert_lists = [f.vertices if isinstance(f, RainbowFace) else tuple(f) for f in faces]
     if not vert_lists or any(not vs for vs in vert_lists):
         raise ValueError("every face must be nonempty")
+    for vs in vert_lists:  # a negative index would read a point from the end
+        if not (all(map(is_int, vs)) and 0 <= min(vs) and max(vs) < config.n_points):
+            raise ValueError(f"face {vs} has a vertex that is not a point id "
+                             f"in 0..{config.n_points - 1}")
     d = config.d
     pts = config.points
 

@@ -14,7 +14,7 @@ dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
@@ -140,47 +140,62 @@ def _mask(rows: tuple) -> int:
 
 @dataclass
 class ChainComplexModP:
-    """Augmented chain complex over Z_p, kept as its cells: ``graded[d]``
-    holds the d-cells as ``{shape: (rows, keys)}`` (see ``_boundary``).
-    ``ranks`` assembles each boundary when it reduces it, top degree down,
-    and drops it.  With clearing, a d-cell that is a pivot row of the
-    reduced boundary of degree d+1, so the lowest cell of a cycle, gets no
-    column, as its column lies in the span of the earlier ones.  This
-    assumes consecutive boundaries compose to zero and columns list their
-    lowest row first; the assembler guarantees both; ``verify()`` checks them.
+    """Augmented chain complex over Z_p of a simplicial or product-cell
+    complex, which it holds and does not copy; a simplex is the 1-factor
+    cell ``(face,)``.  ``ranks`` assembles each boundary when it reduces it,
+    top degree down, and drops it.  With clearing, a d-cell that is a pivot
+    row of the reduced boundary of degree d+1, so the lowest cell of a
+    cycle, gets no column, as its column lies in the span of the earlier
+    ones.  This assumes consecutive boundaries compose to zero and columns
+    list their lowest row first; the assembler guarantees both; ``verify()``
+    checks them.
     """
 
     p: int
-    graded: list[dict] = field(repr=False)  # one entry per cell: too long to show
+    complex_: SimplicialComplex | ProductCellComplex
 
     def __post_init__(self):
+        if not isinstance(self.complex_, (SimplicialComplex, ProductCellComplex)):
+            raise TypeError(f"cannot take homology of {type(self.complex_).__name__}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property
     def dims(self) -> list[int]:
-        return [sum(len(rows) for rows, _ in groups.values()) for groups in self.graded]
+        return list(self.complex_.f_vector)
 
-    def _assemble(self, d: int, cleared) -> ModMatrix:
-        """The boundary of degree d, without the columns of the d-cells in ``cleared``."""
-        if not d:
-            return _boundary(self.graded[0], None, self.p, 1, cleared)
-        lower = {shape: dict(zip(keys, rows)) for shape, (rows, keys) in self.graded[d - 1].items()}
-        return _boundary(self.graded[d], lower, self.p, self.dims[d - 1], cleared)
+    def _groups(self, d: int) -> dict | None:
+        """The d-cells as ``{shape: (rows, keys)}`` (see ``_boundary``), and
+        None below degree 0, where the augmentation has its one row."""
+        if d < 0:
+            return None
+        if isinstance(self.complex_, SimplicialComplex):
+            faces = self.complex_.faces_of_dim(d)  # a face is its own key
+            return {(d + 1,): (range(len(faces)), faces)}
+        groups = {}
+        for row, cell in enumerate(self.complex_.cells_of_dim(d)):
+            rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
+            rows.append(row)
+            keys.append(tuple(itertools.chain.from_iterable(cell)))
+        return groups
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Ranks of the boundaries of degrees 0..top, with clearing."""
-        ranks, cleared = [], frozenset()
-        for d in reversed(range(len(self.graded))):
-            cleared = self._assemble(d, cleared).pivot_rows()
+        """Ranks of the boundaries of degrees 0..top, with clearing.  The
+        cells of degree d-1 are grouped once, for the rows of degree d and
+        then for its columns."""
+        ranks, cleared, lower = [], frozenset(), self._groups(len(self.dims) - 1)
+        for d in reversed(range(len(self.dims))):
+            groups, lower = lower, self._groups(d - 1)
+            cleared = _boundary(groups, lower, self.p, cleared).pivot_rows()
             ranks.append(len(cleared))
         return tuple(reversed(ranks))
 
     @cached_property
     def boundaries(self) -> list[ModMatrix]:
         """Every boundary in full, the augmentation first; ``ranks`` never reads it."""
-        return [self._assemble(d, frozenset()) for d in range(len(self.graded))]
+        groups = [self._groups(d) for d in range(-1, len(self.dims))]
+        return [_boundary(g, lower, self.p, frozenset()) for lower, g in zip(groups, groups[1:])]
 
     def verify(self) -> None:
         """Assert row counts chain, columns list their lowest row first, and
@@ -224,40 +239,23 @@ class HConn:
         return f">= {self.value}" if self.is_lower_bound else str(self.value)
 
 
-def chain_complex(complex_: SimplicialComplex, p: int) -> ChainComplexModP:
-    """Simplicial chain complex with the standard alternating-sign boundary
-    in the canonical vertex order, augmented over Z_p."""
-    # a simplex is the 1-factor cell (face,), and its face is its key
-    graded = [{(d + 1,): (range(len(fs)), fs)}
-              for d, fs in enumerate(map(complex_.faces_of_dim, range(complex_.dim + 1)))]
-    return ChainComplexModP(p, graded)
+def chain_complex(complex_: SimplicialComplex | ProductCellComplex, p: int) -> ChainComplexModP:
+    """The augmented chain complex over Z_p of a simplicial or product-cell
+    complex, ``ChainComplexModP(p, complex_)``: simplicial boundaries have
+    the standard alternating signs in the canonical vertex order, cellular
+    ones follow the graded Leibniz rule (see ``_boundary``)."""
+    return ChainComplexModP(p, complex_)
 
 
-def cellular_chain_complex(product: ProductCellComplex, p: int) -> ChainComplexModP:
-    """Cellular chain complex of a product-cell complex.
-
-    The boundary of a cell is the signed sum over factors of the simplicial
-    boundary of that factor, the sign of factor i being (-1) to the total
-    dimension of the preceding factors; summands whose factor would become
-    empty are dropped, so 0-dimensional factors contribute nothing.  The
-    store's factors are sorted tuples, which the product's constructor
-    checks, so they are not checked here.
-    """
-    graded: list[dict] = [{} for _ in range(product.dim + 1)]
-    for d, groups in enumerate(graded):
-        for row, cell in enumerate(product.cells_of_dim(d)):
-            rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
-            rows.append(row)
-            keys.append(tuple(itertools.chain.from_iterable(cell)))
-    return ChainComplexModP(p, graded)
+cellular_chain_complex = chain_complex  # a simplex is the 1-factor cell
 
 
-def _boundary(groups: dict, lower, p: int, nrows: int, cleared) -> ModMatrix:
-    """The boundary over Z_p, into ``nrows`` rows, of one degree's cells,
-    ``{shape: (rows, keys)}`` with each shape's rows ascending: a column
-    per cell whose row is not in ``cleared``, in row order.  ``lower`` maps
-    each shape one degree down to the row of each key; in degree 0 it is
-    None and the boundary is the augmentation.
+def _boundary(groups: dict, lower, p: int, cleared) -> ModMatrix:
+    """The boundary over Z_p of one degree's cells, ``{shape: (rows, keys)}``
+    with each shape's rows ascending: a column per cell whose row is not in
+    ``cleared``, in row order.  ``lower`` groups the cells one degree down
+    the same way, and they are the rows; in degree 0 it is None and the
+    boundary is the augmentation, into one row.
 
     A cell is a tuple of factors, each a sorted tuple of base vertices, and
     a simplex the 1-factor cell ``(face,)``.  Its shape is the tuple of its
@@ -265,8 +263,11 @@ def _boundary(groups: dict, lower, p: int, nrows: int, cleared) -> ModMatrix:
     cells of one shape.  Dropping position pos, in factor i, has sign
     (-1)**(pos - i): (-1) to the position in the factor times (-1) to the
     dimension of the factors before it.  A summand whose factor would
-    become empty is dropped.
+    become empty is dropped, so 0-dimensional factors contribute nothing.
     """
+    if lower is not None:  # per shape, the row of each key
+        lower = {shape: dict(zip(keys, rows)) for shape, (rows, keys) in lower.items()}
+    nrows = 1 if lower is None else sum(map(len, lower.values()))
     order, cols, values = [], [], []
     try:
         for shape, (rows, keys) in groups.items():
@@ -304,15 +305,11 @@ def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple
 
 
 def _as_chain_complex(obj, p: int) -> ChainComplexModP:
-    if isinstance(obj, ChainComplexModP):
-        if obj.p != p:
-            raise ValueError(f"chain complex is over Z_{obj.p}, not Z_{p}")
-        return obj
-    if isinstance(obj, ProductCellComplex):
-        return cellular_chain_complex(obj, p)
-    if isinstance(obj, SimplicialComplex):
-        return chain_complex(obj, p)
-    raise TypeError(f"cannot take homology of {type(obj).__name__}")
+    if not isinstance(obj, ChainComplexModP):
+        return ChainComplexModP(p, obj)
+    if obj.p != p:
+        raise ValueError(f"chain complex is over Z_{obj.p}, not Z_{p}")
+    return obj
 
 
 def betti(cc: ChainComplexModP) -> BettiProfile:
@@ -325,7 +322,7 @@ def betti(cc: ChainComplexModP) -> BettiProfile:
 
 def betti_numbers(complex_, p: int = 2) -> BettiProfile:
     """Reduced Betti numbers of a simplicial or product-cell complex, or of
-    a chain complex already assembled over Z_p."""
+    a chain complex over Z_p."""
     return betti(_as_chain_complex(complex_, p))
 
 

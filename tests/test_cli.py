@@ -1,9 +1,11 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tverlab.cli import main
+from tverlab.cli import build_parser, main
 from tverlab.geometry import random_configuration
 
 
@@ -159,6 +161,31 @@ def test_usage_error_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def _readme_commands():
+    """The ``tverlab`` lines of the README's command block as argument
+    lists, without the program name, each continuation joined first."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```")[1::2] if "\ntverlab " in b)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tverlab ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse_and_run(tmp_path, capsys, argv):
+    # the README's own file names stand for files made here
+    files = {
+        "mycomplex.json": {"vertices": 4, "faces": [[0, 3], [1, 2]]},
+        "points.json": random_configuration(2, [4, 4, 4], seed=1).to_dict(),
+    }
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    build_parser().parse_args(argv)  # a flag that is gone exits 2 here
+    if argv[0] != "experiment":  # its 100 trials take several seconds
+        code = main(argv)
+        assert code == 0, capsys.readouterr().out
 
 
 def test_size_list_that_is_not_integers_is_a_usage_error(capsys):

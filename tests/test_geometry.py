@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tverlab.bounds import TheoremInstance
-from tverlab.complexes import Coloring
+from tverlab.complexes import Coloring, SimplicialComplex
 from tverlab.geometry import (
     ColoredConfiguration,
     RainbowFace,
@@ -101,6 +101,34 @@ def test_configuration_validation():
 def test_out_of_range_arguments_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # each used to be read as an int, or kept as given and fail later
+        (lambda: RainbowFace(((0, 1.7),)), r"face \(\(0, 1.7\),\) has an index that is not"),
+        (lambda: RainbowFace((("0", "1"),)), "has an index that is not an integer"),
+        (lambda: Coloring(((0.0, 1), (2,))), r"class \(0.0, 1\) has a vertex that is not"),
+        (lambda: Coloring(((False,), (True,))), "has a vertex that is not an integer"),
+        (lambda: SimplicialComplex(True, [[0]]), "vertex count True is not an integer"),
+        (lambda: SimplicialComplex(2.5, [[0]]), "vertex count 2.5 is not an integer"),
+    ],
+    ids=["face-float-point", "face-strings", "coloring-float", "coloring-bools",
+         "complex-bool-count", "complex-float-count"],
+)
+def test_an_id_that_is_not_an_int_is_refused_where_it_enters(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("vertex", [-3, 3, 1.0, True])
+def test_a_hull_query_refuses_a_vertex_that_is_no_point_id(vertex):
+    # -3 used to be read as point 0 of the three, so the hulls met
+    line = _config(1, [(0,), (5,), (10,)], [(0,), (1,), (2,)])
+    with pytest.raises(ValueError, match=r"face \(%s,\) has a vertex that is not a point id "
+                                         r"in 0\.\.2" % vertex):
+        hulls_intersect([(0,), (vertex,)], line)
 
 
 # -- rainbow face enumeration ---------------------------------------------------

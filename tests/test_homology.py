@@ -19,6 +19,7 @@ from tverlab.complexes import (
     rainbow_complex,
 )
 from tverlab.homology import (
+    ChainComplexModP,
     ModMatrix,
     betti,
     betti_numbers,
@@ -132,6 +133,41 @@ def test_chain_complex_rejects_composite_modulus():
         chain_complex(full_simplex(1), 4)
     with pytest.raises(ValueError):
         cellular_chain_complex(deleted_product(discrete_points(2), 2, 2), 6)
+
+
+def test_a_chain_complex_is_made_only_from_a_complex():
+    # the cells by shape that the constructor used to take unchecked: with
+    # the edge key (2, 0) this triangle's boundary had Betti numbers (0, 0)
+    # over Z_3, where the circle has (0, 1)
+    cells = [{(1,): (range(3), [(0,), (1,), (2,)])}, {(2,): (range(3), [(0, 1), (2, 0), (1, 2)])}]
+    with pytest.raises(TypeError, match="cannot take homology of list"):
+        ChainComplexModP(3, cells)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        ChainComplexModP(4, boundary_simplex(2))
+
+
+@pytest.mark.parametrize("c", [chessboard(3, 3), MIXED_SHAPES], ids=["simplicial", "product"])
+def test_both_constructors_take_either_kind_of_complex(c):
+    a, b = chain_complex(c, 3), cellular_chain_complex(c, 3)
+    assert a.dims == b.dims == list(c.f_vector)
+    assert a.ranks == b.ranks
+    assert ([(m.nrows, m.rows, m.values) for m in a.boundaries]
+            == [(m.nrows, m.rows, m.values) for m in b.boundaries])
+
+
+def test_a_chain_complex_holds_no_copy_of_the_cells():
+    # the cells are grouped by shape only to assemble a degree; a flattened
+    # copy of every cell held 13.3 MiB here
+    c = deleted_product(chessboard(3, 4), 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cc = cellular_chain_complex(c, 3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cc.dims == [1320, 9720, 26784, 35424, 23760, 7776, 1056]
+    assert held < 2**20
 
 
 # the constructor closes the faces it is given, so a simplicial store that
