@@ -58,6 +58,8 @@ class ColoredConfiguration:
     coloring: Coloring
 
     def __post_init__(self):
+        if not is_int(self.d):
+            raise ValueError(f"dimension {self.d!r} is not an integer")
         if self.d < 1:
             raise ValueError("dimension must be positive")
         pts = tuple(tuple(parse_rational(c) for c in pt) for pt in self.points)

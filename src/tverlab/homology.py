@@ -142,11 +142,17 @@ def _mask(rows: tuple) -> int:
 class ChainComplexModP:
     """Augmented chain complex over Z_p of a simplicial or product-cell
     complex, which it holds and does not copy; a simplex is the 1-factor
-    cell ``(face,)``.  ``ranks`` assembles each boundary when it reduces it,
-    top degree down, and drops it.  With clearing, a d-cell that is a pivot
-    row of the reduced boundary of degree d+1, so the lowest cell of a
-    cycle, gets no column, as its column lies in the span of the earlier
-    ones.  This assumes consecutive boundaries compose to zero and columns
+    cell ``(face,)``.  Each degree's cells are numbered from the end of the
+    store, so row and column 0 are the last cell, and a column's lowest row
+    is the face without the last vertex of the cell's first factor of two
+    or more, the least of its faces in the store.  Any order gives the same
+    ranks, but the fill-in depends on it: this one reduces 7x7/Z_3 about
+    4x faster than store order, though a board with more rows than columns,
+    such as 10x5, about 2x slower.  ``ranks`` assembles each boundary when
+    it reduces it, top degree down, and drops it.  With clearing, a d-cell
+    that is a pivot row of the reduced boundary of degree d+1, so the
+    lowest cell of a cycle, gets no column, as its column lies in the span
+    of the earlier ones.  This assumes consecutive boundaries compose to zero and columns
     list their lowest row first; the assembler guarantees both; ``verify()``
     checks them.
     """
@@ -165,15 +171,16 @@ class ChainComplexModP:
         return list(self.complex_.f_vector)
 
     def _groups(self, d: int) -> dict | None:
-        """The d-cells as ``{shape: (rows, keys)}`` (see ``_boundary``), and
-        None below degree 0, where the augmentation has its one row."""
+        """The d-cells as ``{shape: (rows, keys)}`` (see ``_boundary``),
+        numbered from the last in store order, and None below degree 0,
+        where the augmentation has its one row."""
         if d < 0:
             return None
         if isinstance(self.complex_, SimplicialComplex):
             faces = self.complex_.faces_of_dim(d)  # a face is its own key
-            return {(d + 1,): (range(len(faces)), faces)}
+            return {(d + 1,): (range(len(faces)), faces[::-1])}
         groups = {}
-        for row, cell in enumerate(self.complex_.cells_of_dim(d)):
+        for row, cell in enumerate(reversed(self.complex_.cells_of_dim(d))):
             rows, keys = groups.setdefault(tuple(map(len, cell)), ([], []))
             rows.append(row)
             keys.append(tuple(itertools.chain.from_iterable(cell)))
@@ -255,7 +262,8 @@ def _boundary(groups: dict, lower, p: int, cleared) -> ModMatrix:
     with each shape's rows ascending: a column per cell whose row is not in
     ``cleared``, in row order.  ``lower`` groups the cells one degree down
     the same way, and they are the rows; in degree 0 it is None and the
-    boundary is the augmentation, into one row.
+    boundary is the augmentation, into one row.  Both number their cells
+    from the end of the store (see ``ChainComplexModP``).
 
     A cell is a tuple of factors, each a sorted tuple of base vertices, and
     a simplex the 1-factor cell ``(face,)``.  Its shape is the tuple of its
@@ -287,16 +295,17 @@ def _boundary(groups: dict, lower, p: int, cleared) -> ModMatrix:
 
 def _columns(shape: tuple, keys: list, lower: dict, p: int) -> tuple[list, tuple]:
     """The boundary columns of one shape's cells (see ``_boundary``) as row
-    tuples, and the values tuple they share, a vertex position at a time.
-    Rows follow the sorted cells, so with sorted factors, which both stores
-    keep, a cell's first face, which drops the least vertex of its first
-    factor of two or more, is its lowest row."""
+    tuples, and the values tuple they share, a vertex position at a time,
+    each factor's last first.  Rows number the sorted cells from the last,
+    so with sorted factors, which both stores keep, a cell's first face,
+    which drops the last vertex of its first factor of two or more, is the
+    least of its faces in the store and so its lowest row."""
     positions = _positions(keys, sum(shape))
     faces, signs, pos = [], [], 0
     for i, length in enumerate(shape):
         if length > 1:
             row_of = lower[shape[:i] + (length - 1,) + shape[i + 1:]].__getitem__
-            for t in range(pos, pos + length):
+            for t in reversed(range(pos, pos + length)):
                 faces.append(map(row_of, _drop_position(positions, t)))
                 signs.append(p - 1 if (t - i) & 1 else 1)
         pos += length

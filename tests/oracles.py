@@ -158,15 +158,17 @@ def oracle_cellular_betti(product, p):
 def oracle_boundary_columns(complex_, p):
     """The boundary matrices of a simplicial or product-cell complex over
     Z_p, rebuilt one cell at a time by tuple slicing, with a simplex taken
-    as the 1-factor cell ``(face,)``.  Per degree, per cell in storage
-    order: the ``(row, value)`` pairs of its boundary, factor by factor
-    and, within a factor, by the position of the dropped vertex; dropping
-    position t of factor i has sign (-1) to t plus the dimension of the
-    factors before i.  Degree 0 is the augmentation ``[(0, 1)]``."""
+    as the 1-factor cell ``(face,)``.  Each degree's cells are numbered
+    from the end of the store, so index 0 is the last cell in storage
+    order.  Per degree, per cell in that numbering: the ``(row, value)``
+    pairs of its boundary, factor by factor and, within a factor, by the
+    position of the dropped vertex, last first; dropping position t of
+    factor i has sign (-1) to t plus the dimension of the factors before i.
+    Degree 0 is the augmentation ``[(0, 1)]``."""
     if hasattr(complex_, "cells_of_dim"):
-        graded = [list(complex_.cells_of_dim(d)) for d in range(complex_.dim + 1)]
+        graded = [list(complex_.cells_of_dim(d))[::-1] for d in range(complex_.dim + 1)]
     else:
-        graded = [[(f,) for f in complex_.faces_of_dim(d)] for d in range(complex_.dim + 1)]
+        graded = [[(f,) for f in complex_.faces_of_dim(d)][::-1] for d in range(complex_.dim + 1)]
     columns = [[[(0, 1)] for _ in graded[0]]] if graded else []
     for d in range(1, len(graded)):
         rows = {c: i for i, c in enumerate(graded[d - 1])}
@@ -175,7 +177,7 @@ def oracle_boundary_columns(complex_, p):
             column = []
             before = 0  # the dimension of the factors before factor i
             for i, f in enumerate(cell):
-                for t in range(len(f) if len(f) > 1 else 0):
+                for t in reversed(range(len(f) if len(f) > 1 else 0)):
                     face = cell[:i] + (f[:t] + f[t + 1:],) + cell[i + 1:]
                     column.append((rows[face], (-1) ** (before + t) % p))
                 before += len(f) - 1

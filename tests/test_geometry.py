@@ -113,9 +113,17 @@ def test_out_of_range_arguments_are_rejected(call, message):
         (lambda: Coloring(((False,), (True,))), "has a vertex that is not an integer"),
         (lambda: SimplicialComplex(True, [[0]]), "vertex count True is not an integer"),
         (lambda: SimplicialComplex(2.5, [[0]]), "vertex count 2.5 is not an integer"),
+        # 2 == 2.0, so the float passed the coordinate count and the
+        # search failed later with a TypeError
+        (lambda: ColoredConfiguration(2.0, ((0, 0), (1, 0), (0, 1), (1, 1)),
+                                      Coloring(((0,), (1,), (2,), (3,)))),
+         "dimension 2.0 is not an integer"),
+        (lambda: ColoredConfiguration(True, ((0,), (1,)), Coloring(((0,), (1,)))),
+         "dimension True is not an integer"),
     ],
     ids=["face-float-point", "face-strings", "coloring-float", "coloring-bools",
-         "complex-bool-count", "complex-float-count"],
+         "complex-bool-count", "complex-float-count", "config-float-dimension",
+         "config-bool-dimension"],
 )
 def test_an_id_that_is_not_an_int_is_refused_where_it_enters(call, message):
     with pytest.raises(ValueError, match=message):
