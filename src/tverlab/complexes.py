@@ -683,18 +683,23 @@ def apply_symmetry(complex_: SimplicialComplex, perm) -> dict:
     return out
 
 
-def regular_embedding(p: int, n: int) -> list[tuple[int, ...]]:
+def regular_embedding(p: int, n: int, *, budget=None) -> list[tuple[int, ...]]:
     """The elementary abelian group (Z_p)^n inside Sym(p^n), acting on its own
     element list by translation.
 
     Elements are enumerated lexicographically as exponent tuples, so the
     identity permutation comes first.  The action is free and every
-    non-identity permutation has order p.
+    non-identity permutation has order p.  Its (p^n)^2 entries count
+    against the face budget before any permutation is built.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("exponent must be positive")
+    order = 1
+    for _ in range(n):  # checked as it grows: a huge n would make a huge power first
+        order *= p
+        _check_budget(order * order, budget, f"regular_embedding({p}, {n})")
     elems = list(itertools.product(range(p), repeat=n))
     index = {e: i for i, e in enumerate(elems)}
     perms = []

@@ -62,14 +62,15 @@ class ModMatrix:
         vanishes.
 
         A column whose lowest row, its first, is free becomes that row's
-        pivot as stored, and is converted only when a later column reduces
-        against it, as is every column reduced: over GF(2) to an int whose
-        set bits are its rows, over odd p to a ``{row: value}`` dict, a
-        pivot scaled to 1 in its lowest row.  The pivot rows depend only on
+        pivot as stored, and later columns read it as stored.  Only the
+        column being reduced is converted, over GF(2) to an int whose set
+        bits are its rows, over odd p to a ``{row: value}`` dict, and it is
+        kept so if it becomes a pivot, over odd p scaled to 1 in its lowest
+        row.  The input is never written.  The pivot rows depend only on
         the span of the columns, and their number is the rank.
         """
         p = self.p
-        # per lowest row, its pivot: as stored (a tuple), or converted
+        # per lowest row, its pivot: as stored (a tuple), or reduced
         pivots = [None] * self.nrows
         placed = []  # the rows given a pivot
         if p == 2:
@@ -77,14 +78,13 @@ class ModMatrix:
                 if not rows:
                     continue
                 low = rows[0]
-                other = pivots[low]
-                if other is None:
+                if pivots[low] is None:
                     pivots[low] = rows
                     placed.append(low)
                     continue
-                if type(other) is tuple:
-                    other = pivots[low] = _mask(other)
-                mask = _mask(rows) ^ other
+                mask = 0
+                for i in rows:
+                    mask ^= 1 << i
                 while mask:
                     low = mask.bit_length() - 1
                     other = pivots[low]
@@ -92,9 +92,11 @@ class ModMatrix:
                         pivots[low] = mask
                         placed.append(low)
                         break
-                    if type(other) is tuple:
-                        other = pivots[low] = _mask(other)
-                    mask ^= other
+                    if type(other) is int:
+                        mask ^= other
+                    else:
+                        for i in other:
+                            mask ^= 1 << i
         else:
             for col in zip(self.rows, self.values):
                 if not col[0]:
@@ -113,11 +115,13 @@ class ModMatrix:
                         pivots[low] = {i: v * inv % p for i, v in vec.items()}
                         placed.append(low)
                         break
-                    if type(other) is tuple:
-                        inv = pow(other[1][0], -1, p)  # the value in the lowest row
-                        other = pivots[low] = {i: v * inv % p for i, v in zip(*other)}
                     c = vec[low]
-                    for i, v in other.items():
+                    if type(other) is tuple:  # scaled by the inverse of its lowest value
+                        c = c * pow(other[1][0], -1, p) % p
+                        other = zip(*other)
+                    else:
+                        other = other.items()
+                    for i, v in other:
                         # v and c are units, so w == 0 only where vec has row i
                         w = (vec.get(i, 0) - c * v) % p
                         if w:
@@ -126,16 +130,6 @@ class ModMatrix:
                             del vec[i]
         del pivots  # the reduced columns go before the set is made
         return set(dict.fromkeys(placed))  # sized once, unlike a set grown row by row
-
-
-def _mask(rows: tuple) -> int:
-    """The int whose set bits are the given distinct rows; one shift by the
-    least row keeps the summands small."""
-    lo = min(rows)
-    mask = 0
-    for i in rows:
-        mask |= 1 << (i - lo)
-    return mask << lo
 
 
 @dataclass

@@ -486,6 +486,16 @@ def test_wiseness_far_above_the_copies_stays_small_in_memory(fresh_python, comma
     assert int(err) < 120 * 1024
 
 
+def test_gf2_reduction_of_the_7x7_board_stays_small_in_memory(fresh_python):
+    # 145 MB when a stored pivot was kept as a bit mask once a later column
+    # met it; 87 MB when it is read as stored
+    proc = fresh_python("-c", PEAK_RSS, "hconn", "--chessboard", "7", "7", "--p", "2")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out)["result"]["betti"] == [0, 0, 0, 0, 588, 792, 0]
+    assert int(err) < 110 * 1024
+
+
 @pytest.mark.parametrize(
     "argv,code,result,limit_mb",
     [

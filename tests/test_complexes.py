@@ -823,6 +823,19 @@ def test_is_prime_refuses_numbers_beyond_its_exact_range():
             is_prime(n)
 
 
+def test_regular_embedding_checks_the_budget_before_building():
+    # (2, 14) has (2**14)**2 = 2**28 entries, some minutes and gigabytes;
+    # a huge n is refused without computing p**n
+    for n in (14, 10**18):
+        t0 = time.perf_counter()
+        with pytest.raises(FaceBudgetError, match=f"regular_embedding\\(2, {n}\\)"):
+            regular_embedding(2, n)
+        assert time.perf_counter() - t0 < 1
+    with pytest.raises(FaceBudgetError):
+        regular_embedding(3, 2, budget=80)
+    assert regular_embedding(3, 2, budget=81) == regular_embedding(3, 2)
+
+
 def test_regular_embedding_rejects_composites():
     with pytest.raises(ValueError):
         regular_embedding(4, 1)
