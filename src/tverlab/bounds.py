@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexes import is_prime
+from .complexes import is_int, is_prime
 
 
 class SizeThresholdError(ValueError):
@@ -55,7 +55,12 @@ class TheoremInstance:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        for name in ("d", "k", "m_large", "n"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not an integer")
+        if not all(map(is_int, self.sizes)):
+            raise ValueError(f"color sizes {self.sizes} include one that is not an integer")
         if self.d < 1:
             raise ValueError("target dimension d must be at least 1")
         if not 1 <= self.k <= self.d:

@@ -45,7 +45,9 @@ _PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def is_prime(p: int) -> bool:
     """Deterministic primality test; raises ``ValueError`` for p at or above
-    about 3.3e24, where it could not be exact."""
+    about 3.3e24, where it could not be exact, and for p not an ``int``."""
+    if not is_int(p):
+        raise ValueError(f"{p!r} is not an integer")
     if p >= _PRIME_TEST_LIMIT:
         raise ValueError(f"primality of p >= {_PRIME_TEST_LIMIT} is not decided exactly")
     if p < 2:

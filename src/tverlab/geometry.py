@@ -349,6 +349,10 @@ def find_disjoint_intersecting_family(
     "none".  ``lp_budget`` is the bound on hull queries; a search that
     reaches it ends "budget", having generated only the faces it scanned.
     """
+    if not is_int(q):
+        raise ValueError(f"q = {q!r} is not an integer")
+    if lp_budget is not None and not is_int(lp_budget):
+        raise ValueError(f"lp_budget = {lp_budget!r} is not an integer")
     if q < 1:
         raise ValueError("q must be at least 1")
     stats = {"queries": 0, "nodes": 0}

@@ -34,26 +34,8 @@ class ModMatrix:
         self.nrows, self.p, self.rows, self.values = nrows, p, rows, values
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows)
-
-    @property
     def nnz(self) -> int:
         return sum(map(len, self.rows))
-
-    def composes_to_zero(self, next_boundary: "ModMatrix") -> bool:
-        """True iff self @ next_boundary is the zero matrix."""
-        if self.ncols != next_boundary.nrows:
-            raise ValueError("boundary shapes do not chain")
-        rows, values, p = self.rows, self.values, self.p
-        for col_rows, col_values in zip(next_boundary.rows, next_boundary.values):
-            acc: dict[int, int] = {}
-            for r, v in zip(col_rows, col_values):
-                for i, w in zip(rows[r], values[r]):
-                    acc[i] = (acc.get(i, 0) + v * w) % p
-            if any(acc.values()):
-                return False
-        return True
 
     def pivot_rows(self) -> set[int]:
         """Pivot rows of the column reduction: columns are taken left to
@@ -146,9 +128,9 @@ class ChainComplexModP:
     it reduces it, top degree down, and drops it.  With clearing, a d-cell
     that is a pivot row of the reduced boundary of degree d+1, so the
     lowest cell of a cycle, gets no column, as its column lies in the span
-    of the earlier ones.  This assumes consecutive boundaries compose to zero and columns
-    list their lowest row first; the assembler guarantees both; ``verify()``
-    checks them.
+    of the earlier ones.  This assumes consecutive boundaries compose to
+    zero and columns list their lowest row first; the assembler guarantees
+    both, and the tests check them.
     """
 
     p: int
@@ -197,19 +179,6 @@ class ChainComplexModP:
         """Every boundary in full, the augmentation first; ``ranks`` never reads it."""
         groups = [self._groups(d) for d in range(-1, len(self.dims))]
         return [_boundary(g, lower, self.p, frozenset()) for lower, g in zip(groups, groups[1:])]
-
-    def verify(self) -> None:
-        """Assert row counts chain, columns list their lowest row first, and
-        consecutive boundaries compose to zero (augmentation included)."""
-        nrows, boundaries = 1, self.boundaries
-        for d, mat in enumerate(boundaries):
-            if mat.nrows != nrows:
-                raise AssertionError(f"boundary {d} has {mat.nrows} rows, not {nrows}")
-            if any(rows and rows[0] != max(rows) for rows in mat.rows):
-                raise AssertionError(f"boundary {d} has a column whose lowest row is not first")
-            if d and not boundaries[d - 1].composes_to_zero(mat):
-                raise AssertionError(f"boundary composition {d - 1} o {d} is nonzero")
-            nrows = mat.ncols
 
 
 @dataclass(frozen=True)

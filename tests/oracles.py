@@ -7,7 +7,8 @@ a rebuild of any complex through the validating constructor, a plain dense row-r
 rainbow faces of a coloring by product and sort, and exact orientation
 predicates for planar hull intersection.  Beside them,
 ``mod_matrix`` builds a matrix for the rank engine from ``(row, value)``
-columns.
+columns, and ``check_chain_complex`` checks the assembled boundaries of a
+chain complex by multiplying consecutive ones out.
 """
 
 import itertools
@@ -206,6 +207,36 @@ def mod_matrix(nrows, p, cols):
         rows.append(tuple(low_first))
         values.append(tuple(col[i] % p for i in low_first))
     return ModMatrix(nrows, p, rows, values)
+
+
+def composes_to_zero(a, b):
+    """True iff the product a @ b of two ``ModMatrix`` is the zero matrix."""
+    if len(a.rows) != b.nrows:
+        raise ValueError("boundary shapes do not chain")
+    rows, values, p = a.rows, a.values, a.p
+    for col_rows, col_values in zip(b.rows, b.values):
+        acc = {}
+        for r, v in zip(col_rows, col_values):
+            for i, w in zip(rows[r], values[r]):
+                acc[i] = (acc.get(i, 0) + v * w) % p
+        if any(acc.values()):
+            return False
+    return True
+
+
+def check_chain_complex(cc):
+    """Assert that the row counts of ``cc.boundaries`` chain, that their
+    columns list their lowest row first, and that consecutive boundaries
+    compose to zero (augmentation included)."""
+    nrows, boundaries = 1, cc.boundaries
+    for d, mat in enumerate(boundaries):
+        if mat.nrows != nrows:
+            raise AssertionError(f"boundary {d} has {mat.nrows} rows, not {nrows}")
+        if any(rows and rows[0] != max(rows) for rows in mat.rows):
+            raise AssertionError(f"boundary {d} has a column whose lowest row is not first")
+        if d and not composes_to_zero(boundaries[d - 1], mat):
+            raise AssertionError(f"boundary composition {d - 1} o {d} is nonzero")
+        nrows = len(mat.rows)
 
 
 # -- rainbow faces in the search's order -------------------------------------

@@ -54,8 +54,23 @@ def test_instance_validation():
         (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 0, 1)),
          "color classes must be nonempty"),
         (lambda: conn_lower_bound_join([3, 3], 3, 3), "m_large out of range"),
+        # each used to be taken as given, or truncated by int(), and so to
+        # give r = 2.83, a bundle read as (2, 3, 3), or one large class
+        (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2, n=1.5, sizes=(3, 3, 3)),
+         "n = 1.5 is not an integer"),
+        (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(2.7, 3, 3)),
+         r"color sizes \(2.7, 3, 3\) include one that is not an integer"),
+        (lambda: TheoremInstance(d=2, k=2, m_large=True, p=2, n=1, sizes=(3, 3, 3)),
+         "m_large = True is not an integer"),
+        (lambda: TheoremInstance(d=2.0, k=2, m_large=0, p=2, n=1, sizes=(3, 3, 3)),
+         "d = 2.0 is not an integer"),
+        (lambda: TheoremInstance(d=2, k=2.0, m_large=0, p=2, n=1, sizes=(3, 3, 3)),
+         "k = 2.0 is not an integer"),
+        (lambda: TheoremInstance(d=2, k=2, m_large=0, p=2.0, n=2, sizes=(3, 3, 3)),
+         "2.0 is not an integer"),
     ],
-    ids=["zero-exponent", "empty-class", "more-large-classes-than-classes"],
+    ids=["zero-exponent", "empty-class", "more-large-classes-than-classes", "float-exponent",
+         "float-size", "bool-m-large", "float-dimension", "float-k", "float-prime"],
 )
 def test_out_of_range_arguments_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):

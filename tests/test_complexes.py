@@ -823,6 +823,13 @@ def test_is_prime_refuses_numbers_beyond_its_exact_range():
             is_prime(n)
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_is_prime_refuses_a_number_that_is_not_an_int(n):
+    # 2.0 and 3.0 used to pass as primes, and True was read as 1
+    with pytest.raises(ValueError, match=f"{n} is not an integer"):
+        is_prime(n)
+
+
 def test_regular_embedding_checks_the_budget_before_building():
     # (2, 14) has (2**14)**2 = 2**28 entries, some minutes and gigabytes;
     # a huge n is refused without computing p**n

@@ -120,10 +120,19 @@ def test_out_of_range_arguments_are_rejected(call, message):
          "dimension 2.0 is not an integer"),
         (lambda: ColoredConfiguration(True, ((0,), (1,)), Coloring(((0,), (1,)))),
          "dimension True is not an integer"),
+        # q = 2.5 searched on to an exhaustive, false "none", which an
+        # experiment would record as a counterexample
+        (lambda: find_disjoint_intersecting_family(RADON, 2.5), "q = 2.5 is not an integer"),
+        (lambda: find_disjoint_intersecting_family(RADON, 2, lp_budget=2.5),
+         "lp_budget = 2.5 is not an integer"),
+        (lambda: verify_theorem_empirically(
+            TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), 1, 1, q=2.5),
+         "q = 2.5 is not an integer"),
     ],
     ids=["face-float-point", "face-strings", "coloring-float", "coloring-bools",
          "complex-bool-count", "complex-float-count", "config-float-dimension",
-         "config-bool-dimension"],
+         "config-bool-dimension", "search-float-q", "search-float-budget",
+         "experiment-float-q"],
 )
 def test_an_id_that_is_not_an_int_is_refused_where_it_enters(call, message):
     with pytest.raises(ValueError, match=message):
