@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexes import is_int, is_prime
+from .complexes import _check_ints, is_int, is_prime
 
 
 class SizeThresholdError(ValueError):
@@ -56,9 +56,7 @@ class TheoremInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        for name in ("d", "k", "m_large", "n"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)!r} is not an integer")
+        _check_ints(d=self.d, k=self.k, m_large=self.m_large, n=self.n)
         if not all(map(is_int, self.sizes)):
             raise ValueError(f"color sizes {self.sizes} include one that is not an integer")
         if self.d < 1:
@@ -125,6 +123,7 @@ def conn_lower_bound_join(sizes, r: int, m_large: int) -> int:
     and joining k+1 factors adds 2k.
     """
     sizes = list(sizes)
+    _check_ints(sizes=sizes, r=r, m_large=m_large)
     if not 0 <= m_large <= len(sizes):
         raise ValueError("m_large out of range")
     violations = threshold_violations(sizes, r, m_large)

@@ -295,6 +295,17 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ints(**args) -> None:
+    """Raise ``ValueError`` naming the first argument that is not an
+    ``int``, ``bool`` excluded, or a list or tuple holding one that is not."""
+    for name, value in args.items():
+        if isinstance(value, (list, tuple)):
+            if not all(map(is_int, value)):
+                raise ValueError(f"{name} {value} include one that is not an integer")
+        elif not is_int(value):
+            raise ValueError(f"{name} = {value!r} is not an integer")
+
+
 def is_int_lists(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(f, list) and all(map(is_int, f)) for f in value
@@ -341,6 +352,7 @@ class ProductCellComplex(_GradedCells):
     __slots__ = ("base", "n", "k")
 
     def __init__(self, base: SimplicialComplex, n: int, k: int, cells):
+        _check_ints(n=n, k=k)
         self.base, self.n, self.k = base, n, k
         by_dim: dict[int, list] = {}
         for cell in cells:
@@ -392,6 +404,7 @@ class ProductCellComplex(_GradedCells):
 
 def discrete_points(count: int, *, budget=None) -> SimplicialComplex:
     """`count` isolated vertices."""
+    _check_ints(count=count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_budget(count, budget, f"discrete_points({count})")
@@ -400,6 +413,7 @@ def discrete_points(count: int, *, budget=None) -> SimplicialComplex:
 
 def full_simplex(dim: int, *, budget=None) -> SimplicialComplex:
     """The solid simplex on ``dim + 1`` vertices (all nonempty subsets)."""
+    _check_ints(dim=dim)
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     _check_budget(2 ** (dim + 1) - 1, budget, f"full_simplex({dim})")
@@ -410,6 +424,7 @@ def full_simplex(dim: int, *, budget=None) -> SimplicialComplex:
 
 def boundary_simplex(dim: int, *, budget=None) -> SimplicialComplex:
     """The boundary of the ``dim``-simplex, a triangulated (dim-1)-sphere."""
+    _check_ints(dim=dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     _check_budget(2 ** (dim + 1) - 2, budget, f"boundary_simplex({dim})")
@@ -425,6 +440,7 @@ def chessboard(m: int, n: int, *, budget=None) -> SimplicialComplex:
     indices; a set of cells is a face exactly when its rows are pairwise
     distinct and its columns are pairwise distinct.
     """
+    _check_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("board sides must be positive")
     sizes = range(1, min(m, n) + 1)
@@ -450,6 +466,7 @@ def rainbow_complex(sizes, *, budget=None):
     using at most one vertex per color class.
     """
     sizes = list(sizes)
+    _check_ints(sizes=sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
     _check_budget(math.prod(s + 1 for s in sizes) - 1, budget, f"rainbow complex of sizes {sizes}")
@@ -550,6 +567,7 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
 
     Vertex labels are ``(copy, base_label)`` with copies numbered 1..n.
     """
+    _check_ints(n=n, k=k)
     if n < 2:
         raise ValueError("need at least 2 copies")
     if k < 2:
@@ -586,6 +604,7 @@ def deleted_join(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) ->
 def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None) -> ProductCellComplex:
     """n-fold k-wise deleted product: tuples of nonempty faces in which every
     k factors intersect emptily, graded by total dimension."""
+    _check_ints(n=n, k=k)
     if n < 2:
         raise ValueError("need at least 2 copies")
     if k < 2:
@@ -620,6 +639,7 @@ def decomposition_isomorphism(sizes, r: int, *, budget=None) -> DecompositionWit
     counterexample face if the map fails to carry a face to a face.
     """
     sizes = list(sizes)
+    _check_ints(sizes=sizes, r=r)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
     if r < 2:
@@ -696,6 +716,7 @@ def regular_embedding(p: int, n: int, *, budget=None) -> list[tuple[int, ...]]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("exponent must be positive")
     order = 1

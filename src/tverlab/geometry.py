@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .complexes import Coloring, is_int, is_int_lists, json_field
+from .complexes import Coloring, _check_ints, is_int, is_int_lists, json_field
 
 
 # the coordinate strings a configuration may use: "[+-]digits" or
@@ -346,29 +346,28 @@ def find_disjoint_intersecting_family(
     (see ``_rainbow_tuples``): it makes at most one hull query per
     increasing family (in the face order above) of at most q pairwise
     disjoint rainbow faces of dimension at most d, and ends "found" or
-    "none".  ``lp_budget`` is the bound on hull queries; a search that
-    reaches it ends "budget", having generated only the faces it scanned.
+    "none".  ``lp_budget``, at least 0, bounds the hull queries; a search
+    that reaches it ends "budget", having generated only the faces it
+    scanned, and counts one node more than queries.
     """
-    if not is_int(q):
-        raise ValueError(f"q = {q!r} is not an integer")
-    if lp_budget is not None and not is_int(lp_budget):
-        raise ValueError(f"lp_budget = {lp_budget!r} is not an integer")
+    _check_ints(q=q)
     if q < 1:
         raise ValueError("q must be at least 1")
-    stats = {"queries": 0, "nodes": 0}
-
-    def query(family):
-        if lp_budget is not None and stats["queries"] >= lp_budget:
-            raise _BudgetExhausted
-        stats["queries"] += 1
-        return hulls_intersect(family, config)
+    if lp_budget is not None:
+        _check_ints(lp_budget=lp_budget)
+        if lp_budget < 0:
+            raise ValueError("lp_budget must be nonnegative")
+    queries = 0  # each node of the search is one hull query
 
     def extend(rest, chosen, used):
+        nonlocal queries
         for face in rest:
             if not used.isdisjoint(face):
                 continue
-            stats["nodes"] += 1
-            res = query(chosen + [face])
+            if queries == lp_budget:  # never without a budget
+                raise _BudgetExhausted
+            queries += 1
+            res = hulls_intersect(chosen + [face], config)
             if res is None:
                 continue
             if len(chosen) + 1 == q:
@@ -382,11 +381,9 @@ def find_disjoint_intersecting_family(
 
     try:
         witness = extend(itertools.tee(_rainbow_tuples(config), 1)[0], [], set())
-    except _BudgetExhausted:
-        return SearchResult("budget", None, stats["queries"], stats["nodes"])
-    if witness is None:
-        return SearchResult("none", None, stats["queries"], stats["nodes"])
-    return SearchResult("found", witness, stats["queries"], stats["nodes"])
+    except _BudgetExhausted:  # the node that found the budget spent is counted
+        return SearchResult("budget", None, queries, queries + 1)
+    return SearchResult("none" if witness is None else "found", witness, queries, queries)
 
 
 # -- instance generation and the experiment harness ---------------------------
@@ -398,9 +395,10 @@ def random_configuration(
     """Deterministic pseudorandom integer configuration: one point per vertex
     with coordinates in [-coordinate_bound, coordinate_bound], color classes
     taken as consecutive index blocks."""
+    sizes = list(sizes)
+    _check_ints(d=d, sizes=sizes, coordinate_bound=coordinate_bound)
     if coordinate_bound < 1:
         raise ValueError("coordinate bound must be at least 1")
-    sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
     rng = random.Random(seed)
@@ -487,6 +485,7 @@ def verify_theorem_empirically(
     """
     from .bounds import promised_faces, strict_inequality_note, volovikov_condition
 
+    _check_ints(trials=trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     promised = promised_faces(volovikov_condition(ti), strict_inequality_note(ti))

@@ -21,11 +21,11 @@ from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _p
 
 
 class ModMatrix:
-    """Sparse matrix over Z_p stored column-major, as the assembler builds
-    it: column j is the tuple of its rows, ``rows[j]``, lowest
-    (largest-index) row first, beside the tuple of their values in 1..p-1,
-    ``values[j]``, which the columns of one shape share.  The column count
-    is ``len(rows)``; the constructor checks nothing.
+    """Sparse matrix over Z_p stored column-major, as the assembler builds it,
+    and as ``pivot_rows`` keeps a column it reduces over odd p: column j is
+    the tuple of its rows, ``rows[j]``, lowest (largest-index) row first,
+    beside the tuple of their values in 1..p-1, ``values[j]``.  The column
+    count is ``len(rows)``; the constructor checks nothing.
     """
 
     __slots__ = ("nrows", "p", "rows", "values")
@@ -43,16 +43,17 @@ class ModMatrix:
         lowest (largest-index) nonzero row carries no pivot yet, or it
         vanishes.
 
-        A column whose lowest row, its first, is free becomes that row's
-        pivot as stored, and later columns read it as stored.  Only the
-        column being reduced is converted, over GF(2) to an int whose set
-        bits are its rows, over odd p to a ``{row: value}`` dict, and it is
-        kept so if it becomes a pivot, over odd p scaled to 1 in its lowest
-        row.  The input is never written.  The pivot rows depend only on
-        the span of the columns, and their number is the rank.
+        A column whose lowest row, its first, is free becomes that row's pivot
+        as stored, and later columns read it as stored.  Only the column being
+        reduced is converted, over GF(2) to an int whose set bits are its
+        rows, over odd p to a ``{row: value}`` dict.  If it becomes a pivot,
+        the int is kept, and the dict goes back to the stored form, unscaled:
+        a pivot is met scaled by the inverse of its lowest value.  The input
+        is never written.  The pivot rows depend only on the span of the
+        columns, and their number is the rank.
         """
         p = self.p
-        # per lowest row, its pivot: as stored (a tuple), or reduced
+        # per lowest row, its pivot: a stored column, or a reduced one
         pivots = [None] * self.nrows
         placed = []  # the rows given a pivot
         if p == 2:
@@ -80,6 +81,7 @@ class ModMatrix:
                         for i in other:
                             mask ^= 1 << i
         else:
+            inverse = {}  # per lowest value met, its inverse mod p
             for col in zip(self.rows, self.values):
                 if not col[0]:
                     continue
@@ -93,17 +95,15 @@ class ModMatrix:
                     low = max(vec)
                     other = pivots[low]
                     if other is None:
-                        inv = pow(vec[low], -1, p)
-                        pivots[low] = {i: v * inv % p for i, v in vec.items()}
+                        first = vec.pop(low)
+                        pivots[low] = ((low, *vec), (first, *vec.values()))
                         placed.append(low)
                         break
-                    c = vec[low]
-                    if type(other) is tuple:  # scaled by the inverse of its lowest value
-                        c = c * pow(other[1][0], -1, p) % p
-                        other = zip(*other)
-                    else:
-                        other = other.items()
-                    for i, v in other:
+                    inv = inverse.get(other[1][0])
+                    if inv is None:  # the inverse of its lowest value, once per value
+                        inv = inverse[other[1][0]] = pow(other[1][0], -1, p)
+                    c = vec[low] * inv % p
+                    for i, v in zip(*other):
                         # v and c are units, so w == 0 only where vec has row i
                         w = (vec.get(i, 0) - c * v) % p
                         if w:

@@ -5,8 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from tverlab.bounds import TheoremInstance
-from tverlab.complexes import Coloring, SimplicialComplex
+from tverlab.bounds import TheoremInstance, conn_lower_bound_join
+from tverlab.complexes import (
+    Coloring,
+    ProductCellComplex,
+    SimplicialComplex,
+    chessboard,
+    deleted_join,
+    deleted_product,
+    discrete_points,
+    full_simplex,
+    rainbow_complex,
+    regular_embedding,
+)
 from tverlab.geometry import (
     ColoredConfiguration,
     RainbowFace,
@@ -88,6 +99,9 @@ def test_configuration_validation():
         (lambda: ColoredConfiguration(0, (), Coloring(())), "dimension must be positive"),
         (lambda: hulls_intersect([(), (0,)], RADON), "every face must be nonempty"),
         (lambda: find_disjoint_intersecting_family(RADON, 0), "q must be at least 1"),
+        # -1 used to end "budget" after no hull query
+        (lambda: find_disjoint_intersecting_family(RADON, 2, lp_budget=-1),
+         "lp_budget must be nonnegative"),
         (lambda: random_configuration(2, [1], 0, coordinate_bound=0),
          "coordinate bound must be at least 1"),
         (lambda: random_configuration(2, [], 0), "sizes must be a nonempty list"),
@@ -95,8 +109,8 @@ def test_configuration_validation():
             TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), 0, 1),
          "need at least one trial"),
     ],
-    ids=["zero-dimension", "empty-face", "no-faces-wanted", "zero-coordinate-bound",
-         "no-sizes", "no-trials"],
+    ids=["zero-dimension", "empty-face", "no-faces-wanted", "negative-budget",
+         "zero-coordinate-bound", "no-sizes", "no-trials"],
 )
 def test_out_of_range_arguments_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -128,11 +142,28 @@ def test_out_of_range_arguments_are_rejected(call, message):
         (lambda: verify_theorem_empirically(
             TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), 1, 1, q=2.5),
          "q = 2.5 is not an integer"),
+        # a builder or a bound read True as 1, wrote it into a report, or
+        # failed later on a float
+        (lambda: discrete_points(True), "count = True is not an integer"),
+        (lambda: deleted_product(chessboard(2, 2), 3, 2.5), "k = 2.5 is not an integer"),
+        (lambda: deleted_join(discrete_points(3), 2, 2.0), "k = 2.0 is not an integer"),
+        (lambda: ProductCellComplex(full_simplex(1), True, 2, []), "n = True is not an integer"),
+        (lambda: conn_lower_bound_join([5.5, 5], 3, 1),
+         r"sizes \[5.5, 5\] include one that is not an integer"),
+        (lambda: chessboard(True, 3), "m = True is not an integer"),
+        (lambda: rainbow_complex([True, 2]), r"sizes \[True, 2\] include one that is not"),
+        (lambda: regular_embedding(2, True), "n = True is not an integer"),
+        (lambda: random_configuration(2, [True, 2], 1), r"sizes \[True, 2\] include one"),
+        (lambda: verify_theorem_empirically(
+            TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), True, 1),
+         "trials = True is not an integer"),
     ],
     ids=["face-float-point", "face-strings", "coloring-float", "coloring-bools",
          "complex-bool-count", "complex-float-count", "config-float-dimension",
          "config-bool-dimension", "search-float-q", "search-float-budget",
-         "experiment-float-q"],
+         "experiment-float-q", "points-bool-count", "product-float-k", "join-float-k",
+         "cells-bool-n", "bound-float-size", "board-bool-side", "rainbow-bool-size",
+         "embedding-bool-exponent", "configuration-bool-size", "experiment-bool-trials"],
 )
 def test_an_id_that_is_not_an_int_is_refused_where_it_enters(call, message):
     with pytest.raises(ValueError, match=message):
@@ -479,6 +510,7 @@ def test_seeded_search_counts(sizes, p, n, q, trials, found, queries, nodes):
     assert len(report.counterexamples) == trials - found
     assert sum(t.hull_queries for t in report.trials) == queries
     assert sum(t.nodes for t in report.trials) == nodes
+    assert all(t.nodes == t.hull_queries + (t.status == "budget") for t in report.trials)
 
 
 def test_experiment_is_deterministic():
