@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .complexes import _check_ints, is_int, is_prime
+from .complexes import _check_ints, _record, is_int, is_prime
 
 
 class SizeThresholdError(ValueError):
@@ -41,7 +40,7 @@ class InapplicableError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class TheoremInstance:
     """Parameter bundle: maps into R^d, k+1 color classes, the first
     ``m_large`` of size at least 2r-1 and the rest at least 2r-4, where
@@ -133,7 +132,7 @@ def conn_lower_bound_join(sizes, r: int, m_large: int) -> int:
     return m_large * (r - 2) + (k + 1 - m_large) * (r - 3) + 2 * k
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class IndexBound:
     """A lower bound on the index of a symbolic space, with its derivation.
 
@@ -221,7 +220,7 @@ def index_lower_bound_deleted_product(ti: TheoremInstance) -> IndexBound:
     return IndexBound("pairwise-deleted-product-of-rainbow", lower, tuple(trace))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Condition:
     name: str
     passed: bool
@@ -235,7 +234,7 @@ class Condition:
         return out
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Verdict:
     """Aggregate applicability check: applicable iff every condition passes."""
 
@@ -319,7 +318,7 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
     return Verdict(applicable, q, required, achieved, conditions)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class FaceCountUpgrade:
     """Strict inequality m_large > (d-k)(r-1) promotes the promised number of
     pairwise disjoint rainbow faces from q = r-1 to r."""

@@ -157,6 +157,7 @@ def _run_experiment(args):
     report = verify_theorem_empirically(
         _instance(args), args.trials, args.seed,
         q=args.q, lp_budget=args.lp_budget, coordinate_bound=args.bound,
+        budget=args.face_budget,
     )
     return report.to_dict(), 0 if report.successes == len(report.trials) else 1
 

@@ -16,7 +16,6 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
 DEFAULT_FACE_BUDGET = 10_000_000
 
@@ -84,7 +83,46 @@ def _check_budget(count: int, budget, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+def _record(cls=None, *, frozen=False):
+    """Class decorator for the library's records, in place of ``dataclasses``
+    (whose import and ``exec``-made methods cost a cold CLI start about
+    10 ms): ``__init__`` over the annotated fields, with class-attribute
+    defaults, then ``__post_init__``; ``__eq__`` and ``__repr__`` on the
+    fields; and, if frozen, ``__hash__`` and no assignment, else no hash."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+    values_of = operator.attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or kwargs.keys() - names[len(args):] or len(values) < len(names):
+            raise TypeError(f"{cls.__name__} takes the fields {names}: got {args} and {kwargs}")
+        for name in names:  # in field order, so that instances share their keys
+            object.__setattr__(self, name, values[name])
+        post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values_of(self) == values_of(other)
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is frozen: {name!r} cannot change")
+
+    cls.__init__, cls.__eq__, cls.__repr__, cls.__hash__ = __init__, __eq__, __repr__, None
+    if frozen:
+        cls.__hash__ = lambda self: hash(values_of(self))
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_record(frozen=True)
 class Coloring:
     """Ordered partition of vertex ids into nonempty color classes; a vertex
     that is not an ``int`` raises ``ValueError``."""
@@ -620,7 +658,7 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
 # -- the chessboard decomposition of the deleted join ------------------------
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class DecompositionWitness:
     """Verified vertex bijection from the r-fold pairwise deleted join of a
     rainbow complex onto the join of per-color chessboard complexes."""
@@ -676,12 +714,14 @@ def apply_symmetry(complex_: SimplicialComplex, perm) -> dict:
     """Relabel the tagged copies of a deleted join by a permutation.
 
     ``perm`` is a sequence with ``perm[t]`` the image of copy ``t + 1``.
-    Returns the induced permutation of the face set as a dict; raises if the
-    complex is not an n-fold tagged construction of matching degree, and
-    fails loudly if an image face were missing (which would be a bug, since
-    the action preserves the complex).
+    Returns the induced permutation of the face set as a dict; raises
+    ``ValueError`` if a copy number is not an ``int`` or the complex is not
+    an n-fold tagged construction of matching degree, and fails loudly if
+    an image face were missing (which would be a bug, since the action
+    preserves the complex).
     """
     perm = tuple(perm)
+    _check_ints(perm=perm)
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("perm must be a permutation of 1..n")

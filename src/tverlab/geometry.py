@@ -15,10 +15,11 @@ import itertools
 import random
 import re
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .complexes import Coloring, _check_ints, is_int, is_int_lists, json_field
+from .complexes import (
+    Coloring, _check_budget, _check_ints, _record, is_int, is_int_lists, json_field,
+)
 
 
 # the coordinate strings a configuration may use: "[+-]digits" or
@@ -49,7 +50,7 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ColoredConfiguration:
     """Points in Q^d partitioned into color classes by point index."""
 
@@ -103,7 +104,7 @@ def _is_lists(value) -> bool:
     return isinstance(value, list) and all(isinstance(pt, list) for pt in value)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class RainbowFace:
     """A nonempty face choosing at most one point per color class; a color
     or point index that is not an ``int`` raises ``ValueError``."""
@@ -255,7 +256,7 @@ def hulls_intersect(faces, config: ColoredConfiguration):
 # -- witnesses and search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Witness:
     """q pairwise disjoint rainbow faces, an exact common point of their
     hulls, and the convex weights certifying it."""
@@ -310,7 +311,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class SearchResult:
     """Outcome of a witness search: status is "found", "none" (exhaustive),
     or "budget" (hull-query budget hit before exhausting the space)."""
@@ -390,17 +391,19 @@ def find_disjoint_intersecting_family(
 
 
 def random_configuration(
-    d: int, sizes, seed: int, coordinate_bound: int = 1000
+    d: int, sizes, seed: int, coordinate_bound: int = 1000, *, budget=None
 ) -> ColoredConfiguration:
     """Deterministic pseudorandom integer configuration: one point per vertex
     with coordinates in [-coordinate_bound, coordinate_bound], color classes
-    taken as consecutive index blocks."""
+    taken as consecutive index blocks.  Its d * sum(sizes) coordinates count
+    against the face budget before any point is made."""
     sizes = list(sizes)
     _check_ints(d=d, sizes=sizes, coordinate_bound=coordinate_bound)
     if coordinate_bound < 1:
         raise ValueError("coordinate bound must be at least 1")
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
+    _check_budget(d * sum(sizes), budget, f"a configuration of {sum(sizes)} points in R^{d}")
     rng = random.Random(seed)
     points = []
     blocks = []
@@ -415,7 +418,7 @@ def random_configuration(
     return ColoredConfiguration(d, tuple(points), Coloring(tuple(blocks)))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class TrialRecord:
     trial: int
     seed: int
@@ -424,7 +427,7 @@ class TrialRecord:
     nodes: int
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ExperimentReport:
     """Aggregate of seeded trials; exhaustive failures carry the full
     machine-readable configuration so they can be replayed."""
@@ -453,7 +456,8 @@ class ExperimentReport:
             "successes": self.successes,
             "budget_exhausted": self.budget_exhausted,
             "hull_queries_total": sum(t.hull_queries for t in self.trials),
-            "per_trial": [asdict(t) for t in self.trials],
+            "per_trial": [{"trial": t.trial, "seed": t.seed, "status": t.status,
+                           "hull_queries": t.hull_queries, "nodes": t.nodes} for t in self.trials],
             "counterexamples": [dict(c) for c in self.counterexamples],
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -471,6 +475,7 @@ def verify_theorem_empirically(
     q=None,
     lp_budget=None,
     coordinate_bound: int = 1000,
+    budget=None,
 ) -> ExperimentReport:
     """Run seeded trials of the bundle ``ti`` (a ``bounds.TheoremInstance``,
     imported lazily): generate a configuration with its class sizes,
@@ -481,7 +486,8 @@ def verify_theorem_empirically(
     labelled exploratory.  An exhaustive "none" is recorded as a
     machine-readable counterexample report; on a certified bundle with an
     affine map that would contradict the theorem and almost certainly
-    indicates a bug.
+    indicates a bug.  Each configuration's coordinates count against
+    ``budget`` as in :func:`random_configuration`.
     """
     from .bounds import promised_faces, strict_inequality_note, volovikov_condition
 
@@ -497,7 +503,7 @@ def verify_theorem_empirically(
     counterexamples = []
     for trial in range(trials):
         s = _trial_seed(seed, trial)
-        config = random_configuration(ti.d, ti.sizes, s, coordinate_bound)
+        config = random_configuration(ti.d, ti.sizes, s, coordinate_bound, budget=budget)
         result = find_disjoint_intersecting_family(config, effective_q, lp_budget=lp_budget)
         if result.found:
             result.witness.verify(config)

@@ -14,10 +14,11 @@ dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions, is_prime
+from .complexes import (
+    ProductCellComplex, SimplicialComplex, _drop_position, _positions, _record, is_prime,
+)
 
 
 class ModMatrix:
@@ -114,7 +115,7 @@ class ModMatrix:
         return set(dict.fromkeys(placed))  # sized once, unlike a set grown row by row
 
 
-@dataclass
+@_record
 class ChainComplexModP:
     """Augmented chain complex over Z_p of a simplicial or product-cell
     complex, which it holds and does not copy; a simplex is the 1-factor
@@ -181,7 +182,7 @@ class ChainComplexModP:
         return [_boundary(g, lower, self.p, frozenset()) for lower, g in zip(groups, groups[1:])]
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class BettiProfile:
     """Reduced Betti numbers over Z_p, degrees 0..top."""
 
@@ -195,7 +196,7 @@ class BettiProfile:
         return None
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class HConn:
     """Homological connectivity: the honest value, or a lower bound when
     reduced homology vanishes through the top dimension (the complex may be

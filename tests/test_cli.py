@@ -511,8 +511,13 @@ def test_gf2_reduction_of_the_7x7_board_stays_small_in_memory(fresh_python):
         # labels were made before the budget saw them
         (["--face-budget", "1000", "betti", "--complex", "{file}"], 1,
          {"error_type": "FaceBudgetError"}, 50),
+        # some 15 GB when each point was made before anything counted them
+        (["experiment", "--d", "2", "--k", "2", "--m", "0", "--p", "2", "--n", "1",
+          "--sizes", "30000000,1,1", "--trials", "1", "--seed", "1"], 1,
+         {"error_type": "FaceBudgetError"}, 50),
     ],
-    ids=["points-over-budget", "search-on-a-budget", "vertices-over-budget"],
+    ids=["points-over-budget", "search-on-a-budget", "vertices-over-budget",
+         "configuration-over-budget"],
 )
 def test_work_stops_with_the_budget(tmp_path, fresh_python, argv, code, result, limit_mb):
     path = tmp_path / "complex.json"

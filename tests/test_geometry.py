@@ -10,6 +10,7 @@ from tverlab.complexes import (
     Coloring,
     ProductCellComplex,
     SimplicialComplex,
+    apply_symmetry,
     chessboard,
     deleted_join,
     deleted_product,
@@ -157,13 +158,19 @@ def test_out_of_range_arguments_are_rejected(call, message):
         (lambda: verify_theorem_empirically(
             TheoremInstance(d=2, k=2, m_large=0, p=2, n=1, sizes=(1, 1, 1)), True, 1),
          "trials = True is not an integer"),
+        # sorted((True, 2)) == [1, 2], so each passed the permutation check
+        (lambda: apply_symmetry(deleted_join(discrete_points(2), 2), (True, 2)),
+         r"perm \(True, 2\) include one that is not an integer"),
+        (lambda: apply_symmetry(deleted_join(discrete_points(2), 2), (2.0, 1)),
+         r"perm \(2.0, 1\) include one that is not an integer"),
     ],
     ids=["face-float-point", "face-strings", "coloring-float", "coloring-bools",
          "complex-bool-count", "complex-float-count", "config-float-dimension",
          "config-bool-dimension", "search-float-q", "search-float-budget",
          "experiment-float-q", "points-bool-count", "product-float-k", "join-float-k",
          "cells-bool-n", "bound-float-size", "board-bool-side", "rainbow-bool-size",
-         "embedding-bool-exponent", "configuration-bool-size", "experiment-bool-trials"],
+         "embedding-bool-exponent", "configuration-bool-size", "experiment-bool-trials",
+         "symmetry-bool-copy", "symmetry-float-copy"],
 )
 def test_an_id_that_is_not_an_int_is_refused_where_it_enters(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,11 +1,18 @@
 import importlib
 import inspect
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tverlab
+from tverlab.bounds import Condition, FaceCountUpgrade, IndexBound, TheoremInstance, Verdict
+from tverlab.complexes import Coloring, DecompositionWitness, full_simplex
+from tverlab.geometry import (
+    ColoredConfiguration, ExperimentReport, RainbowFace, SearchResult, TrialRecord, Witness,
+)
+from tverlab.homology import BettiProfile, ChainComplexModP, HConn
 
 SUBMODULES = ("complexes", "homology", "bounds", "geometry")
 
@@ -78,3 +85,58 @@ def test_benchmark_self_tests_pass(fresh_python):
     proc = fresh_python(str(root / "perfbench" / "selftest.py"), cwd=root)
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()[-3000:]
+
+
+# a sample of each record class, its fields in order
+RECORDS = [
+    (TheoremInstance, dict(d=2, k=2, m_large=0, p=7, n=1, sizes=(10, 10, 10))),
+    (IndexBound, dict(space="join", lower=3, provenance=())),
+    (Condition, dict(name="sizes", passed=True, detail="ok", assumed=True)),
+    (Verdict, dict(applicable=True, q=6, required_index=3, achieved_lower_bound=4,
+                   conditions=(Condition("sizes", True, "ok"),))),
+    (FaceCountUpgrade, dict(promised_faces=3, provenance=())),
+    (Coloring, dict(classes=((0, 1), (2,)))),
+    (DecompositionWitness, dict(left=full_simplex(1), right=full_simplex(1),
+                                vertex_map={0: 0, 1: 1}, verified=True)),
+    (ColoredConfiguration, dict(d=1, points=((Fraction(0),), (Fraction(1),)),
+                                coloring=Coloring(((0,), (1,))))),
+    (RainbowFace, dict(members=((0, 0), (1, 1)))),
+    (Witness, dict(faces=(RainbowFace(((0, 0),)),), point=(Fraction(0),),
+                   weights=((Fraction(1),),))),
+    (SearchResult, dict(status="none", witness=None, hull_queries=2, nodes=3)),
+    (TrialRecord, dict(trial=0, seed=5, status="found", hull_queries=2, nodes=4)),
+    (ExperimentReport, dict(instance={"d": 1}, q=2, mode="certified",
+                            trials=(TrialRecord(0, 5, "found", 2, 4),),
+                            counterexamples=(), elapsed_seconds=0.5)),
+    (ChainComplexModP, dict(p=2, complex_=full_simplex(1))),
+    (BettiProfile, dict(p=2, betti=(0, 1))),
+    (HConn, dict(value=1, is_lower_bound=True)),
+]
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_construct_compare_hash_and_print_by_their_fields(cls, fields):
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert record != tuple(fields.values())
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{name}=" in text for name in fields)
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=1)
+    if cls is ChainComplexModP:  # mutable, for its cached ranks
+        assert cls.__hash__ is None
+        return
+    if not any(isinstance(value, dict) for value in fields.values()):
+        assert hash(record) == hash(cls(**fields))
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(fields)), None)
+
+
+def test_record_defaults_and_report_keys():
+    assert HConn(1) == HConn(1, False) != HConn(1, True)
+    report = dict(RECORDS)[ExperimentReport]
+    (trial,) = ExperimentReport(**report).to_dict()["per_trial"]
+    assert list(trial.items()) == [
+        ("trial", 0), ("seed", 5), ("status", "found"), ("hull_queries", 2), ("nodes", 4),
+    ]
