@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .complexes import _check_ints, _record, is_int, is_prime
+from .complexes import _check_ints, _record, is_prime
 
 
 class SizeThresholdError(ValueError):
@@ -40,7 +40,7 @@ class InapplicableError(ValueError):
         super().__init__(message)
 
 
-@_record(frozen=True)
+@_record
 class TheoremInstance:
     """Parameter bundle: maps into R^d, k+1 color classes, the first
     ``m_large`` of size at least 2r-1 and the rest at least 2r-4, where
@@ -55,9 +55,8 @@ class TheoremInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        _check_ints(d=self.d, k=self.k, m_large=self.m_large, n=self.n)
-        if not all(map(is_int, self.sizes)):
-            raise ValueError(f"color sizes {self.sizes} include one that is not an integer")
+        _check_ints(d=self.d, k=self.k, m_large=self.m_large, n=self.n,
+                    **{"color sizes": self.sizes})
         if self.d < 1:
             raise ValueError("target dimension d must be at least 1")
         if not 1 <= self.k <= self.d:
@@ -132,7 +131,7 @@ def conn_lower_bound_join(sizes, r: int, m_large: int) -> int:
     return m_large * (r - 2) + (k + 1 - m_large) * (r - 3) + 2 * k
 
 
-@_record(frozen=True)
+@_record
 class IndexBound:
     """A lower bound on the index of a symbolic space, with its derivation.
 
@@ -220,7 +219,7 @@ def index_lower_bound_deleted_product(ti: TheoremInstance) -> IndexBound:
     return IndexBound("pairwise-deleted-product-of-rainbow", lower, tuple(trace))
 
 
-@_record(frozen=True)
+@_record
 class Condition:
     name: str
     passed: bool
@@ -234,7 +233,7 @@ class Condition:
         return out
 
 
-@_record(frozen=True)
+@_record
 class Verdict:
     """Aggregate applicability check: applicable iff every condition passes."""
 
@@ -318,7 +317,7 @@ def volovikov_condition(ti: TheoremInstance) -> Verdict:
     return Verdict(applicable, q, required, achieved, conditions)
 
 
-@_record(frozen=True)
+@_record
 class FaceCountUpgrade:
     """Strict inequality m_large > (d-k)(r-1) promotes the promised number of
     pairwise disjoint rainbow faces from q = r-1 to r."""

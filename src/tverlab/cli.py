@@ -143,6 +143,8 @@ def _run_tverberg_search(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ColoredConfiguration.from_dict(json.load(fh))
     res = find_disjoint_intersecting_family(config, args.q, lp_budget=args.lp_budget)
+    if res.witness:
+        res.witness.verify(config)
     return {
         "status": res.status,
         "hull_queries": res.hull_queries,

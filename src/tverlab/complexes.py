@@ -83,14 +83,12 @@ def _check_budget(count: int, budget, what: str) -> None:
         )
 
 
-def _record(cls=None, *, frozen=False):
+def _record(cls):
     """Class decorator for the library's records, in place of ``dataclasses``
     (whose import and ``exec``-made methods cost a cold CLI start about
     10 ms): ``__init__`` over the annotated fields, with class-attribute
-    defaults, then ``__post_init__``; ``__eq__`` and ``__repr__`` on the
-    fields; and, if frozen, ``__hash__`` and no assignment, else no hash."""
-    if cls is None:
-        return lambda cls: _record(cls, frozen=frozen)
+    defaults, then ``__post_init__``; ``__eq__``, ``__hash__`` and ``__repr__``
+    on the fields; no assignment (a ``cached_property`` writes ``__dict__``)."""
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", lambda self: None)
@@ -115,14 +113,13 @@ def _record(cls=None, *, frozen=False):
     def refuse(self, name, *value):
         raise AttributeError(f"{cls.__name__} is frozen: {name!r} cannot change")
 
-    cls.__init__, cls.__eq__, cls.__repr__, cls.__hash__ = __init__, __eq__, __repr__, None
-    if frozen:
-        cls.__hash__ = lambda self: hash(values_of(self))
-        cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(values_of(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
 
 
-@_record(frozen=True)
+@_record
 class Coloring:
     """Ordered partition of vertex ids into nonempty color classes; a vertex
     that is not an ``int`` raises ``ValueError``."""
@@ -252,8 +249,9 @@ class SimplicialComplex(_GradedCells):
             _check_budget(count, budget, "computing the downward closure")
             positions = _positions(fs, length)  # vertices add nothing: their faces are empty
             shorter = by_length.setdefault(length - 1, set())
-            for t in range(length):
+            for t in range(length):  # checked as it grows: the next level can be far larger
                 shorter.update(_drop_position(positions, t))
+                _check_budget(count + len(shorter), budget, "computing the downward closure")
             graded[length - 1] = tuple(fs)
         super().__init__(graded)
         self.n_vertices, self.labels, self._label_index = n_vertices, labels, None
@@ -658,7 +656,7 @@ def deleted_product(base: SimplicialComplex, n: int, k: int = 2, *, budget=None)
 # -- the chessboard decomposition of the deleted join ------------------------
 
 
-@_record(frozen=True)
+@_record
 class DecompositionWitness:
     """Verified vertex bijection from the r-fold pairwise deleted join of a
     rainbow complex onto the join of per-color chessboard complexes."""

@@ -50,7 +50,7 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@_record(frozen=True)
+@_record
 class ColoredConfiguration:
     """Points in Q^d partitioned into color classes by point index."""
 
@@ -104,7 +104,7 @@ def _is_lists(value) -> bool:
     return isinstance(value, list) and all(isinstance(pt, list) for pt in value)
 
 
-@_record(frozen=True)
+@_record
 class RainbowFace:
     """A nonempty face choosing at most one point per color class; a color
     or point index that is not an ``int`` raises ``ValueError``."""
@@ -139,24 +139,22 @@ class RainbowFace:
 
 def enumerate_rainbow_faces(config: ColoredConfiguration) -> list[RainbowFace]:
     """The rainbow faces the witness search reads, in its order: every
-    nonempty one of dimension at most d (see ``_rainbow_tuples``)."""
+    nonempty one of dimension at most d, larger first, then by color set,
+    then in the product order of its classes (see ``_rainbow_tuples``)."""
     return _rainbow_faces(config, _rainbow_tuples(config))
 
 
 def _rainbow_tuples(config: ColoredConfiguration):
     """Every nonempty rainbow face of dimension at most d, lazily, as sorted
-    vertex tuples: larger first, then by color set, then by vertex tuple.
+    vertex tuples: larger first, then by color set, then in the product
+    order of its classes (sorted-vertex order when each lies below the next).
     The cap loses no family: a point of conv(F) lies in the hull of at most
     d + 1 vertices of F (Caratheodory), a sub-face that stays rainbow and
     disjoint from the others, so "none" over these faces is "none" over all."""
     classes = config.color_classes
     for size in range(min(config.d + 1, len(classes)), 0, -1):
         for blocks in itertools.combinations(classes, size):
-            group = itertools.product(*blocks)
-            # already in sorted-vertex order when each class lies below the next
-            if any(a[-1] > b[0] for a, b in zip(blocks, blocks[1:])):
-                group = sorted(tuple(sorted(vs)) for vs in group)
-            yield from group
+            yield from map(tuple, map(sorted, itertools.product(*blocks)))
 
 
 def _rainbow_faces(config: ColoredConfiguration, vertex_tuples) -> list[RainbowFace]:
@@ -256,7 +254,7 @@ def hulls_intersect(faces, config: ColoredConfiguration):
 # -- witnesses and search -----------------------------------------------------
 
 
-@_record(frozen=True)
+@_record
 class Witness:
     """q pairwise disjoint rainbow faces, an exact common point of their
     hulls, and the convex weights certifying it."""
@@ -311,7 +309,7 @@ class Witness:
         }
 
 
-@_record(frozen=True)
+@_record
 class SearchResult:
     """Outcome of a witness search: status is "found", "none" (exhaustive),
     or "budget" (hull-query budget hit before exhausting the space)."""
@@ -418,7 +416,7 @@ def random_configuration(
     return ColoredConfiguration(d, tuple(points), Coloring(tuple(blocks)))
 
 
-@_record(frozen=True)
+@_record
 class TrialRecord:
     trial: int
     seed: int
@@ -427,7 +425,7 @@ class TrialRecord:
     nodes: int
 
 
-@_record(frozen=True)
+@_record
 class ExperimentReport:
     """Aggregate of seeded trials; exhaustive failures carry the full
     machine-readable configuration so they can be replayed."""

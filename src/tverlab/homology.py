@@ -131,7 +131,8 @@ class ChainComplexModP:
     lowest cell of a cycle, gets no column, as its column lies in the span
     of the earlier ones.  This assumes consecutive boundaries compose to
     zero and columns list their lowest row first; the assembler guarantees
-    both, and the tests check them.
+    both, and the tests check them.  Like every record it refuses
+    assignment, so its cached ranks are those of its ``p`` and ``complex_``.
     """
 
     p: int
@@ -182,7 +183,7 @@ class ChainComplexModP:
         return [_boundary(g, lower, self.p, frozenset()) for lower, g in zip(groups, groups[1:])]
 
 
-@_record(frozen=True)
+@_record
 class BettiProfile:
     """Reduced Betti numbers over Z_p, degrees 0..top."""
 
@@ -196,7 +197,7 @@ class BettiProfile:
         return None
 
 
-@_record(frozen=True)
+@_record
 class HConn:
     """Homological connectivity: the honest value, or a lower bound when
     reduced homology vanishes through the top dimension (the complex may be

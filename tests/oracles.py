@@ -245,14 +245,14 @@ def check_chain_complex(cc):
 def rainbow_faces_by_product(classes, max_dim=None):
     """Every nonempty rainbow face of dimension at most ``max_dim`` (no cap
     when None) as sorted (color, vertex) members: one point or none per
-    class, then sorted larger first, by colors, then by sorted vertices."""
+    class, then sorted larger first and by colors, the stable sort keeping
+    the product order of the classes within a color set."""
     faces = []
     for combo in itertools.product(*([None, *block] for block in classes)):
         members = tuple((c, v) for c, v in enumerate(combo) if v is not None)
         if members and (max_dim is None or len(members) - 1 <= max_dim):
             faces.append(members)
-    return sorted(faces, key=lambda face: (
-        -len(face), [c for c, _ in face], sorted(v for _, v in face)))
+    return sorted(faces, key=lambda face: (-len(face), [c for c, _ in face]))
 
 
 # -- planar hull-intersection oracle ------------------------------------------

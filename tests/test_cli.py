@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tverlab import geometry
 from tverlab.cli import build_parser, main
 from tverlab.geometry import random_configuration
 
@@ -124,6 +125,23 @@ def test_tverberg_search_reports_none(tmp_path, capsys):
     code, report = run_cli(capsys, "tverberg-search", "--config", str(path), "--q", "2")
     assert code == 1
     assert report["result"]["status"] == "none"
+
+
+def test_tverberg_search_re_checks_its_witness(tmp_path, capsys, monkeypatch):
+    # a hull query that returns a point off the hulls: the bad witness was
+    # printed with exit 0 before the command verified it
+    found = geometry.hulls_intersect
+
+    def shifted(faces, config):
+        res = found(faces, config)
+        return res and ((res[0][0] + 1, *res[0][1:]), res[1])
+
+    monkeypatch.setattr(geometry, "hulls_intersect", shifted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(random_configuration(2, [3, 3, 3], seed=12).to_dict()))
+    code, report = run_cli(capsys, "tverberg-search", "--config", str(path), "--q", "2")
+    assert code == 1
+    assert report["result"]["error_type"] == "ValueError"
 
 
 def test_experiment_subcommand(capsys):
@@ -515,14 +533,27 @@ def test_gf2_reduction_of_the_7x7_board_stays_small_in_memory(fresh_python):
         (["experiment", "--d", "2", "--k", "2", "--m", "0", "--p", "2", "--n", "1",
           "--sizes", "30000000,1,1", "--trials", "1", "--seed", "1"], 1,
          {"error_type": "FaceBudgetError"}, 50),
+        # when the closure checked the budget once per length, it made all
+        # 1,313,400 faces of 197 vertices, some 2 GB, before it stopped
+        (["--face-budget", "30000", "betti", "--complex", "{facet}"], 1,
+         {"error_type": "FaceBudgetError"}, 200),
+        # 258 MB and 2.4 s when the faces of interleaved classes were sorted
+        # a color set at a time before the one hull query
+        (["tverberg-search", "--config", "{config}", "--q", "2", "--lp-budget", "1"], 1,
+         {"status": "budget", "hull_queries": 1}, 50),
     ],
     ids=["points-over-budget", "search-on-a-budget", "vertices-over-budget",
-         "configuration-over-budget"],
+         "configuration-over-budget", "closure-over-budget", "interleaved-search-on-a-budget"],
 )
 def test_work_stops_with_the_budget(tmp_path, fresh_python, argv, code, result, limit_mb):
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps({"vertices": 10 ** 8, "faces": []}))
-    proc = fresh_python("-c", PEAK_RSS, *(arg.format(file=path) for arg in argv))
+    files = {name: tmp_path / f"{name}.json" for name in ("file", "facet", "config")}
+    files["file"].write_text(json.dumps({"vertices": 10 ** 8, "faces": []}))
+    files["facet"].write_text(json.dumps({"vertices": 200, "faces": [list(range(200))]}))
+    # three classes of 150 points in the plane, point v in class v % 3
+    points = [[str(v % 37), str(v * v % 101)] for v in range(450)]
+    colors = [list(range(c, 450, 3)) for c in range(3)]
+    files["config"].write_text(json.dumps({"d": 2, "points": points, "colors": colors}))
+    proc = fresh_python("-c", PEAK_RSS, *(arg.format(**files) for arg in argv))
     out, err = proc.communicate(timeout=10)
     assert proc.returncode == code
     assert result.items() <= json.loads(out)["result"].items()

@@ -861,3 +861,11 @@ def test_coloring_validation():
         Coloring(((0, 1), ()))  # empty block
     with pytest.raises(ValueError):
         Coloring(((0,), (2,)))  # gap
+
+
+def test_small_public_accessors():
+    assert Coloring(((0, 2), (1,), (3,))).n_colors == 3
+    assert (full_simplex(1) == "a complex") is False
+    assert full_simplex(1) != (0, 1)
+    product = deleted_product(boundary_simplex(1), 2)
+    assert repr(product) == f"ProductCellComplex(n=2, k=2, dim=0, f_vector={product.f_vector})"

@@ -152,6 +152,18 @@ def test_a_chain_complex_is_made_only_from_a_complex():
         ChainComplexModP(3.0, boundary_simplex(2))
 
 
+def test_a_chain_complex_with_cached_ranks_cannot_be_re_pointed():
+    # when it could, the 2x2 board under the ranks of the 3x4 board read
+    # (-8, -32), where its profile is (1, 0)
+    cc = chain_complex(chessboard(3, 4), 3)
+    before = betti(cc)
+    with pytest.raises(AttributeError):
+        cc.complex_ = chessboard(2, 2)
+    with pytest.raises(AttributeError):
+        cc.p = 2
+    assert betti(cc) == before == betti(chain_complex(chessboard(3, 4), 3))
+
+
 @pytest.mark.parametrize("c", [chessboard(3, 3), MIXED_SHAPES], ids=["simplicial", "product"])
 def test_both_constructors_take_either_kind_of_complex(c):
     a, b = chain_complex(c, 3), cellular_chain_complex(c, 3)

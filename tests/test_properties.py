@@ -258,9 +258,10 @@ def test_configuration_json_round_trip(config):
 
 @given(configurations())
 def test_rainbow_faces_come_in_the_search_order(config):
-    # the classes interleave in many draws, so the generator's sorted
-    # groups are exercised as well as its plain products; d runs from 1 to
-    # 3 and the colors from 1 to 4, so the cap at d binds in some draws
+    # the classes interleave in many draws, so faces sorted as they are
+    # made are exercised as well as products already in vertex order; d
+    # runs from 1 to 3 and the colors from 1 to 4, so the cap at d binds in
+    # some draws
     faces = enumerate_rainbow_faces(config)
     expected = rainbow_faces_by_product(config.color_classes, config.d)
     assert [f.members for f in faces] == expected
