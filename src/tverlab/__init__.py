@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # each public name under the submodule that defines it
 _EXPORTS = {
     "complexes": (
-        "SimplicialComplex", "ProductCellComplex", "Coloring",
-        "DecompositionWitness", "DecompositionError", "FaceBudgetError",
+        "SimplicialComplex", "ProductCellComplex", "DecompositionWitness",
         "chessboard", "rainbow_complex", "join", "join_many",
         "deleted_join", "deleted_product", "decomposition_isomorphism",
         "apply_symmetry", "regular_embedding",
@@ -39,6 +38,7 @@ _EXPORTS = {
         "find_disjoint_intersecting_family", "random_configuration",
         "verify_theorem_empirically",
     ),
+    "records": ("Coloring", "DecompositionError", "FaceBudgetError"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

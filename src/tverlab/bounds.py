@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .complexes import _check_ints, _record, is_prime
+from .records import _check_ints, _record, is_prime
 
 
 class SizeThresholdError(ValueError):

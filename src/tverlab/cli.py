@@ -18,18 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .complexes import (
-    DEFAULT_FACE_BUDGET,
-    DecompositionError,
-    FaceBudgetError,
-    SimplicialComplex,
-    chessboard,
-    decomposition_isomorphism,
-    deleted_join,
-    deleted_product,
-    discrete_points,
-    rainbow_complex,
-)
+from .records import DEFAULT_FACE_BUDGET, DecompositionError, FaceBudgetError
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -57,6 +46,8 @@ _COMPLEX_SOURCES = ("chessboard", "rainbow", "points", "complex")
 
 
 def _resolve_complex(args):
+    from .complexes import SimplicialComplex, chessboard, discrete_points, rainbow_complex
+
     budget = args.face_budget
     if args.chessboard is not None:
         return chessboard(*args.chessboard, budget=budget)
@@ -92,23 +83,31 @@ def _complex_payload(complex_):
 
 
 # each subparser binds a run function: parsed arguments -> (result, exit code);
-# a run function imports what it needs beyond complexes, so that a command
-# loads only the modules it calls
+# a run function imports what it needs, so that a command loads only the
+# modules it calls
 def _run_chessboard(args):
+    from .complexes import chessboard
+
     return _complex_payload(chessboard(args.m, args.n, budget=args.face_budget)), 0
 
 
 def _run_rainbow(args):
+    from .complexes import rainbow_complex
+
     complex_, coloring = rainbow_complex(args.sizes, budget=args.face_budget)
     return {**_complex_payload(complex_), "colors": [list(b) for b in coloring.classes]}, 0
 
 
 def _run_deleted_join(args):
+    from .complexes import deleted_join
+
     out = deleted_join(_resolve_complex(args), args.copies, args.wise, budget=args.face_budget)
     return _complex_payload(out), 0
 
 
 def _run_deleted_product(args):
+    from .complexes import deleted_product
+
     base = _resolve_complex(args)
     prod = deleted_product(base, args.copies, args.wise, budget=args.face_budget)
     return {
@@ -165,6 +164,8 @@ def _run_experiment(args):
 
 
 def _run_decompose(args):
+    from .complexes import decomposition_isomorphism
+
     witness = decomposition_isomorphism(args.sizes, args.r, budget=args.face_budget)
     return {
         "verified": witness.verified,

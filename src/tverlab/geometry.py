@@ -17,7 +17,7 @@ import re
 import time
 from fractions import Fraction
 
-from .complexes import (
+from .records import (
     Coloring, _check_budget, _check_ints, _record, is_int, is_int_lists, json_field,
 )
 

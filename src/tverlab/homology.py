@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .complexes import (
-    ProductCellComplex, SimplicialComplex, _drop_position, _positions, _record, is_prime,
-)
+from .complexes import ProductCellComplex, SimplicialComplex, _drop_position, _positions
+from .records import _record, is_prime
 
 
 class ModMatrix:

@@ -401,8 +401,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tverlab")]))
 """
-BEYOND_COMPLEXES = {"betti": ["tverlab.homology"], "hconn": ["tverlab.homology"],
-                    "verify-theorem": ["tverlab.bounds"], "tverberg-search": ["tverlab.geometry"]}
+# the tverlab modules each command loads besides tverlab, tverlab.cli and
+# tverlab.records; the builders load tverlab.complexes alone
+LOADS = {"betti": ["complexes", "homology"], "hconn": ["complexes", "homology"],
+         "verify-theorem": ["bounds"], "tverberg-search": ["geometry"],
+         "experiment": ["bounds", "geometry"]}
 
 
 @pytest.mark.parametrize(
@@ -418,6 +421,8 @@ BEYOND_COMPLEXES = {"betti": ["tverlab.homology"], "hconn": ["tverlab.homology"]
         ["verify-theorem", "--d", "2", "--k", "2", "--m", "0", "--p", "7", "--n", "1",
          "--sizes", "10,10,10"],
         ["tverberg-search", "--config", "{config}", "--q", "2"],
+        ["experiment", "--d", "2", "--p", "2", "--n", "1", "--k", "2", "--m", "0",
+         "--sizes", "3,3,3", "--trials", "2", "--seed", "1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -428,8 +433,8 @@ def test_subcommand_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv
     out, err = fresh_python("-c", LOADED_MODULES, *argv).communicate(timeout=60)
     code, loaded = json.loads(out)
     assert code == 0, err
-    assert loaded == sorted(["tverlab", "tverlab.cli", "tverlab.complexes",
-                             *BEYOND_COMPLEXES.get(argv[0], [])])
+    assert loaded == sorted(["tverlab", "tverlab.cli", "tverlab.records",
+                             *(f"tverlab.{m}" for m in LOADS.get(argv[0], ["complexes"]))])
 
 
 # each would run for minutes if its builder finished the work after the

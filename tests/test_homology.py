@@ -775,6 +775,7 @@ NEW_TOP_LEVEL_MODULES = """
 import json, sys
 before = set(sys.modules)
 import tverlab.cli, tverlab.complexes, tverlab.homology, tverlab.bounds, tverlab.geometry
+import tverlab.records
 print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
 """
 
@@ -790,6 +791,7 @@ def test_import_loads_only_the_standard_library(fresh_python):
 SLOW_IMPORTS_LOADED = """
 import sys
 import tverlab.cli, tverlab.complexes, tverlab.homology, tverlab.bounds, tverlab.geometry
+import tverlab.records
 print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from tverlab.geometry import (
 )
 from tverlab.homology import BettiProfile, ChainComplexModP, HConn
 
-SUBMODULES = ("complexes", "homology", "bounds", "geometry")
+SUBMODULES = ("complexes", "homology", "bounds", "geometry", "records")
 
 
 def test_every_public_name_is_the_object_its_home_module_defines():
@@ -55,27 +56,49 @@ def test_unknown_name_is_an_attribute_error():
         exec("from tverlab import no_such_name", {})
 
 
-# runs in a fresh interpreter, where no tverlab module is loaded yet
-LAZY_SURFACE = """
-import sys
+# runs in a fresh interpreter, where no tverlab module is loaded yet: first
+# use of the submodule named by its argument, through the package when it
+# exports it; prints the tverlab modules then loaded
+FIRST_USE = """
+import importlib, json, sys
 import tverlab
 
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("tverlab."))
 assert loaded() == [], loaded()
 assert set(tverlab.__all__) <= set(dir(tverlab))
 assert loaded() == [], loaded()
-geometry = tverlab.geometry
-assert geometry is sys.modules["tverlab.geometry"]
-assert loaded() == ["tverlab.complexes", "tverlab.geometry"], loaded()
-assert tverlab.hulls_intersect is geometry.hulls_intersect
-assert tverlab.betti is sys.modules["tverlab.homology"].betti
+name = sys.argv[1]
+if name in tverlab._EXPORTS:
+    module = getattr(tverlab, name)
+    for public in tverlab._EXPORTS[name]:
+        assert getattr(tverlab, public) is getattr(module, public), public
+else:
+    module = importlib.import_module(f"tverlab.{name}")
+assert module is sys.modules[f"tverlab.{name}"]
+print(json.dumps(loaded()))
 """
+# the tverlab modules that loading each submodule loads: only homology and
+# the builder commands of cli need the complex store
+LOADS = {
+    "records": ["records"],
+    "complexes": ["complexes", "records"],
+    "homology": ["complexes", "homology", "records"],
+    "bounds": ["bounds", "records"],
+    "geometry": ["geometry", "records"],
+    "cli": ["cli", "records"],
+}
 
 
-def test_submodules_load_on_first_use(fresh_python):
-    proc = fresh_python("-c", LAZY_SURFACE)
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err.decode()
+@pytest.mark.parametrize("name", LOADS)
+def test_submodules_load_on_first_use(fresh_python, name):
+    out, err = fresh_python("-c", FIRST_USE, name).communicate(timeout=60)
+    assert out, err.decode()
+    assert json.loads(out) == [f"tverlab.{m}" for m in LOADS[name]]
+
+
+def test_the_table_names_every_submodule():
+    package = Path(tverlab.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} - {"__init__"} == set(LOADS)
 
 
 def test_benchmark_self_tests_pass(fresh_python):
