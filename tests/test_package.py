@@ -57,8 +57,8 @@ def test_unknown_name_is_an_attribute_error():
 
 
 # runs in a fresh interpreter, where no tverlab module is loaded yet: first
-# use of the submodule named by its argument, through the package when it
-# exports it; prints the tverlab modules then loaded
+# use of the submodule named by its argument, through one of its public
+# names when the package exports it; prints the tverlab modules then loaded
 FIRST_USE = """
 import importlib, json, sys
 import tverlab
@@ -69,7 +69,11 @@ assert set(tverlab.__all__) <= set(dir(tverlab))
 assert loaded() == [], loaded()
 name = sys.argv[1]
 if name in tverlab._EXPORTS:
-    module = getattr(tverlab, name)
+    first = tverlab._EXPORTS[name][0]
+    obj = getattr(tverlab, first)
+    module = sys.modules[f"tverlab.{name}"]
+    assert obj is getattr(module, first), first
+    assert getattr(tverlab, name) is module
     for public in tverlab._EXPORTS[name]:
         assert getattr(tverlab, public) is getattr(module, public), public
 else:
