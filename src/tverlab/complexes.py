@@ -342,18 +342,24 @@ def rainbow_complex(sizes, *, budget=None):
 
     Returns ``(complex, coloring)``.  Vertices are labelled
     ``(color, index)`` with 1-based indices; the faces are exactly the sets
-    using at most one vertex per color class.
+    using at most one vertex per color class.  Vertex ids go to the classes
+    largest first, ties in the given order, so that a complex and its
+    deleted joins cost what they cost with the sizes sorted; the coloring
+    lists the classes in the given order, each with its ids.
     """
     sizes = list(sizes)
     _check_ints(sizes=sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be a nonempty list of positive integers")
     _check_budget(math.prod(s + 1 for s in sizes) - 1, budget, f"rainbow complex of sizes {sizes}")
-    classes = [SimplicialComplex._from_graded(s, {0: tuple(zip(range(s)))}, range(1, s + 1))
-               for s in sizes]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    coloring = Coloring(tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:])))
-    return join_many(classes, budget=budget), coloring
+    order = sorted(range(len(sizes)), key=lambda c: -sizes[c])  # stable: ties keep their order
+    classes = [SimplicialComplex._from_graded(sizes[c], {0: tuple(zip(range(sizes[c])))},
+                                              range(1, sizes[c] + 1)) for c in order]
+    joined = join_many(classes, budget=budget)
+    starts = dict(zip(order, itertools.accumulate((sizes[c] for c in order), initial=0)))
+    coloring = Coloring(tuple(tuple(range(starts[c], starts[c] + s)) for c, s in enumerate(sizes)))
+    labels = [(order[f - 1] + 1, i) for f, i in joined.labels]
+    return SimplicialComplex._from_graded(joined.n_vertices, joined._by_dim, labels), coloring
 
 
 # -- joins -------------------------------------------------------------------

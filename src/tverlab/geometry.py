@@ -178,7 +178,9 @@ def hulls_intersect(faces, config: ColoredConfiguration):
     say that it reproduces face 0's point.  Every right-hand side is 0 or 1,
     so row i starts on its own artificial variable, id n + i.  The pivots
     drive the artificial sum to zero, entering and leaving by Bland's rule
-    (guaranteed termination).
+    (guaranteed termination).  The eliminations and the returned point skip
+    every product with a zero factor; each is exactly zero, so the pivots
+    and answers are those of the dense loop.
     """
     vert_lists = [f.vertices if isinstance(f, RainbowFace) else tuple(f) for f in faces]
     if not vert_lists or any(not vs for vs in vert_lists):
@@ -231,11 +233,11 @@ def hulls_intersect(faces, config: ColoredConfiguration):
                     best, leave = ratio, i
         assert leave is not None, "phase-1 objective is bounded below by zero"
         inv = one / rows[leave][enter]
-        prow = rows[leave] = [v * inv for v in rows[leave]]
+        prow = rows[leave] = [v * inv if v else v for v in rows[leave]]
         for i, row in enumerate(rows):
             f = row[enter]
             if f and i != leave:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+                rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
         basis[leave] = enter
 
     if any(row[n] for row, bv in zip(rows, basis) if bv >= n):
@@ -246,7 +248,7 @@ def hulls_intersect(faces, config: ColoredConfiguration):
             x[bv] = row[n]
     weights = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(len(vert_lists)))
     point = tuple(
-        sum((w * pts[v][t] for w, v in zip(weights[0], first)), zero) for t in range(d)
+        sum((w * pts[v][t] for w, v in zip(weights[0], first) if w), zero) for t in range(d)
     )
     return point, weights
 

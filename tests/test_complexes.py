@@ -174,9 +174,16 @@ def rainbow_by_product(sizes):
 def test_rainbow_matches_a_direct_enumeration(sizes):
     faces, labels, blocks = rainbow_by_product(sizes)
     c, coloring = rainbow_complex(sizes)
-    assert list(c.faces()) == faces
-    assert c.labels == labels
-    assert coloring.classes == blocks
+
+    def named(faces, labels):
+        return [sorted(labels[v] for v in f) for f in faces]
+
+    # ids go to the classes largest first, so the two sides meet in labels
+    assert sorted(named(c.faces(), c.labels)) == sorted(named(faces, labels))
+    assert named(coloring.classes, c.labels) == named(blocks, labels)
+    assert list(c.faces()) == list(rainbow_complex(sorted(sizes, reverse=True))[0].faces())
+    if sizes == sorted(sizes, reverse=True):  # already sorted: consecutive blocks
+        assert (list(c.faces()), c.labels, coloring.classes) == (faces, labels, blocks)
     assert rainbow_complex(sizes, budget=len(faces))[0] == c
     with pytest.raises(FaceBudgetError, match="rainbow complex of sizes"):
         rainbow_complex(sizes, budget=len(faces) - 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tverlab import geometry
 from tverlab.bounds import TheoremInstance, conn_lower_bound_join
 from tverlab.complexes import (
     Coloring,
@@ -23,6 +25,7 @@ from tverlab.geometry import (
     ColoredConfiguration,
     RainbowFace,
     Witness,
+    _trial_seed,
     enumerate_rainbow_faces,
     find_disjoint_intersecting_family,
     format_rational,
@@ -518,6 +521,55 @@ def test_seeded_search_counts(sizes, p, n, q, trials, found, queries, nodes):
     assert sum(t.hull_queries for t in report.trials) == queries
     assert sum(t.nodes for t in report.trials) == nodes
     assert all(t.nodes == t.hull_queries + (t.status == "budget") for t in report.trials)
+
+
+def _r4_searches():
+    """The searches of the "r4" case above, one per trial."""
+    ti = TheoremInstance(d=2, k=2, m_large=0, p=2, n=2, sizes=(4, 4, 4))
+    return [find_disjoint_intersecting_family(
+        random_configuration(ti.d, ti.sizes, _trial_seed(1, trial)), ti.q) for trial in range(20)]
+
+
+# the witnesses the dense elimination returned: an exact LP that keeps
+# Bland's rule takes the same pivots, so it returns these value for value
+WITNESS_DIGEST = "8c5751120be7a9440e21815b1c40de7017b2f66e9976c5562b3fbd816f7791e2"
+
+
+def test_the_witnesses_are_pinned():
+    results = _r4_searches() + [find_disjoint_intersecting_family(
+        random_configuration(3, (2, 2, 2, 2), _trial_seed(1, trial)), 2) for trial in range(10)]
+    assert [r.status for r in results] == ["found"] * 30
+    doc = json.dumps([r.witness.to_dict() for r in results], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == WITNESS_DIGEST
+
+
+# Fraction products inside hulls_intersect over the "r4" searches
+LP_PRODUCTS = 130_773
+
+
+def test_the_hull_lp_multiplies_no_zero_entry(monkeypatch):
+    # counts, not timings, so that a dense loop brought back shows on any host
+    counts = {"in_lp": False, "products": 0, "zero": 0}
+    mul, lp = Fraction.__mul__, geometry.hulls_intersect
+
+    def counted_mul(a, b):
+        if counts["in_lp"]:
+            counts["products"] += 1
+            counts["zero"] += not a or not b
+        return mul(a, b)
+
+    def counted_lp(faces, config):
+        counts["in_lp"] = True
+        try:
+            return lp(faces, config)
+        finally:
+            counts["in_lp"] = False
+
+    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
+    monkeypatch.setattr(geometry, "hulls_intersect", counted_lp)
+    assert sum(r.hull_queries for r in _r4_searches()) == 2095
+    assert counts["zero"] == 0
+    assert counts["products"] == LP_PRODUCTS
 
 
 def test_experiment_is_deterministic():
